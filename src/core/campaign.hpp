@@ -9,6 +9,7 @@
 // predictions, and updated as more observations arrive.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,13 @@ struct Observation {
   units::Mflups measured_mflups;
 };
 
-/// Accumulates observations and refines predictions.
+/// Accumulates observations and refines predictions. record() keeps the
+/// running sums every query reads, campaign-wide and per workload key, so
+/// correction_factor(), correction_factor(key), count(key) and
+/// mean_abs_relative_error() cost at most a lookup among the keys, however
+/// many observations the campaign has recorded. The sums are added in insertion order, exactly as a
+/// re-scan over observations() would add them, so every result is
+/// bit-identical to the re-scan.
 class CampaignTracker {
  public:
   void record(Observation obs);
@@ -42,6 +49,13 @@ class CampaignTracker {
   /// data. < 1 means the model overpredicts (the expected regime).
   [[nodiscard]] real_t correction_factor() const;
 
+  /// Same, over the observations whose `workload` equals `key`; 1.0 when
+  /// there are none.
+  [[nodiscard]] real_t correction_factor(const std::string& key) const;
+
+  /// Number of observations whose `workload` equals `key`.
+  [[nodiscard]] index_t count(const std::string& key) const;
+
   /// Applies the learned correction to a raw model throughput.
   [[nodiscard]] units::Mflups refined_mflups(units::Mflups raw_mflups) const {
     return raw_mflups * correction_factor();
@@ -55,7 +69,16 @@ class CampaignTracker {
   [[nodiscard]] real_t refined_mean_abs_relative_error() const;
 
  private:
+  /// Running sums over the observations of one workload key.
+  struct KeyedSums {
+    index_t count = 0;
+    real_t log_sum = 0.0;  ///< sum of log(measured / predicted)
+  };
+
   std::vector<Observation> observations_;
+  real_t log_sum_ = 0.0;      ///< sum of log(measured / predicted)
+  real_t abs_rel_sum_ = 0.0;  ///< sum of |predicted - measured| / measured
+  std::map<std::string, KeyedSums> by_workload_;
 };
 
 /// Model-driven job limit: the user allows `tolerance` (e.g. 0.10) over the

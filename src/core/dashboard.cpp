@@ -18,11 +18,17 @@ std::vector<DashboardRow> Dashboard::evaluate(
     const WorkloadCalibration& workload, const JobSpec& job,
     std::span<const index_t> core_counts,
     const CampaignTracker* refinement) const {
-  HEMO_REQUIRE(job.timesteps >= 1, "job needs at least one timestep");
-  const real_t correction =
-      refinement != nullptr ? refinement->correction_factor() : 1.0;
+  return evaluate(workload, job, core_counts,
+                  refinement != nullptr ? refinement->correction_factor()
+                                        : 1.0);
+}
 
+std::vector<DashboardRow> Dashboard::evaluate(
+    const WorkloadCalibration& workload, const JobSpec& job,
+    std::span<const index_t> core_counts, real_t correction) const {
+  HEMO_REQUIRE(job.timesteps >= 1, "job needs at least one timestep");
   std::vector<DashboardRow> rows;
+  rows.reserve(options_.size() * core_counts.size());
   for (const InstanceOption& opt : options_) {
     const index_t tasks_per_node = opt.profile->cores_per_node;
     for (index_t cores : core_counts) {

@@ -88,6 +88,12 @@ class Dashboard {
       std::span<const index_t> core_counts,
       const CampaignTracker* refinement = nullptr) const;
 
+  /// Same, with the correction factor given directly (the scheduler looks
+  /// it up per workload key).
+  [[nodiscard]] std::vector<DashboardRow> evaluate(
+      const WorkloadCalibration& workload, const JobSpec& job,
+      std::span<const index_t> core_counts, real_t correction) const;
+
   /// Eq. 17 matrix over rows (r[b][a] = MFLUPS_b / MFLUPS_a).
   [[nodiscard]] static std::vector<std::vector<real_t>> relative_value_matrix(
       std::span<const DashboardRow> rows);

@@ -37,7 +37,9 @@ struct MeshOptions {
 class FluidMesh {
  public:
   /// Builds the mesh from a classified grid. Point order is the grid's
-  /// deterministic linear order.
+  /// deterministic linear order. Besides the mesh itself, the build holds
+  /// at most three z-planes of voxel -> point maps (3 * nx * ny int32),
+  /// never one entry per voxel of the bounding box.
   static FluidMesh build(const geometry::VoxelGrid& grid,
                          const MeshOptions& options = {});
 

@@ -130,8 +130,19 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
   for (std::size_t i = 0; i < jobs.size(); ++i) records[i].spec = jobs[i];
 
   WorkerPool pool(config_.n_workers);
-  std::vector<std::size_t> pending(records.size());
+  // Queued jobs, id-sorted. A deque: placements and failures leave from
+  // near the front, where erasing is cheap.
+  std::deque<std::size_t> pending(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) pending[i] = i;
+  // Jobs with a deadline or budget need the full evaluation every pass;
+  // `constrained_pending` counts those queued.
+  const auto constrained = [](const CampaignJobSpec& spec) {
+    return spec.deadline_s.value() > 0.0 || spec.budget_dollars.value() > 0.0;
+  };
+  index_t constrained_pending = 0;
+  for (const JobRecord& rec : records) {
+    if (constrained(rec.spec)) ++constrained_pending;
+  }
   std::vector<InFlight> inflight;
   std::vector<ErrorSample> trajectory;
   units::Seconds clock;
@@ -199,14 +210,34 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
 
   while (!pending.empty() || !inflight.empty()) {
     // Placement pass, in job-id order (pending stays id-sorted because
-    // records are id-sorted and re-insertions keep the order).
+    // records are id-sorted and re-insertions keep the order). Nothing is
+    // released within a pass, so once the pools are saturated they stay
+    // so until the next reserve: jobs without a deadline or budget are
+    // answered kWait without asking the scheduler, and once no constrained
+    // job is left ahead the pass ends. While the registry records, place()
+    // is still called, because its wait path counts.
     const bool in_place = profiler.push_phase("place");
-    std::vector<std::size_t> still_pending;
-    for (const std::size_t idx : pending) {
+    const bool skip_waits = !metrics.enabled();
+    bool saturated = scheduler_->saturated();
+    index_t constrained_ahead = constrained_pending;
+    for (std::size_t pos = 0; pos < pending.size();) {
+      if (saturated && skip_waits && constrained_ahead == 0) break;
+      const std::size_t idx = pending[pos];
       JobRecord& rec = records[idx];
       const CampaignJobSpec& spec = rec.spec;
+      const bool limited = constrained(spec);
+      if (limited) --constrained_ahead;
+      const auto dequeue = [&] {
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pos));
+        if (limited) --constrained_pending;
+      };
+      if (saturated && skip_waits && !limited) {
+        ++pos;
+        continue;
+      }
       if (spec.deadline_s.value() > 0.0 && clock >= spec.deadline_s) {
         fail(rec, "deadline passed while queued");
+        dequeue();
         continue;
       }
       PlacementRequest request;
@@ -221,20 +252,23 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
       if (spec.budget_dollars.value() > 0.0 &&
           request.remaining_budget.value() <= 0.0) {
         fail(rec, "budget exhausted");
+        dequeue();
         continue;
       }
 
       const PlacementDecision decision = scheduler_->place(request);
       if (decision.kind == PlacementDecision::Kind::kInfeasible) {
         fail(rec, decision.reason);
+        dequeue();
         continue;
       }
       if (decision.kind == PlacementDecision::Kind::kWait) {
-        still_pending.push_back(idx);
+        ++pos;
         continue;
       }
 
       scheduler_->reserve(decision.placement);
+      saturated = scheduler_->saturated();
       ++rec.attempts;
       rec.placements.push_back(decision.placement);
       rec.state = JobState::kRunning;
@@ -281,8 +315,8 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
       f.steps_requested = ctx.steps;
       f.future = pool.submit([ctx] { return simulate_attempt(ctx); });
       inflight.push_back(std::move(f));
+      dequeue();
     }
-    pending = std::move(still_pending);
     if (in_place) profiler.pop_phase();
 
     if (inflight.empty()) {
@@ -393,11 +427,7 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
     // placement pass runs, so later decisions use the refined fit.
     if (res.measured_mflups.value() > 0.0) {
       const std::string wkey = workload_key(rec.spec);
-      index_t round = 0;
-      for (const core::Observation& past :
-           scheduler_->tracker().observations()) {
-        if (past.workload == wkey) ++round;
-      }
+      const index_t round = scheduler_->tracker().count(wkey);
       scheduler_->tracker().record(core::Observation{
           wkey, event.placement.instance,
           event.placement.n_tasks, event.placement.raw_mflups,
@@ -440,6 +470,11 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
     // protocol bugs (EngineConfig::seeded_bug, checker self-tests only)
     // land here because kill+requeue is the transition the protocol
     // invariants guard hardest.
+    const auto enqueue = [&](std::size_t job) {
+      pending.insert(std::upper_bound(pending.begin(), pending.end(), job),
+                     job);
+      if (constrained(records[job].spec)) ++constrained_pending;
+    };
     const auto requeue = [&](const char* reason) {
       if (config_.seeded_bug == SeededBug::kDoubleCharge) {
         rec.dollars += res.dollars;  // seeded C1 violation: charged twice
@@ -458,14 +493,10 @@ CampaignReport CampaignEngine::run(std::vector<CampaignJobSpec> jobs) {
         bug_armed = true;
         return;  // seeded E1 violation: the job is never queued again
       }
-      pending.insert(std::upper_bound(pending.begin(), pending.end(),
-                                      event.job),
-                     event.job);
+      enqueue(event.job);
       if (config_.seeded_bug == SeededBug::kDoubleRequeue && !bug_armed) {
         bug_armed = true;  // seeded S1 violation: two live attempts race
-        pending.insert(std::upper_bound(pending.begin(), pending.end(),
-                                        event.job),
-                       event.job);
+        enqueue(event.job);
       }
     };
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
-#include "cluster/virtual_cluster.hpp"
 #include "core/models.hpp"
+#include "harvey/simulation.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -46,6 +47,20 @@ CampaignScheduler::CampaignScheduler(
     pool.total_nodes = opt.profile->nodes();
     pools_.emplace(opt.profile->abbrev, pool);
   }
+  // Node counts exactly as Dashboard::evaluate derives them, one row per
+  // (option, core count).
+  for (const core::InstanceOption& opt : dashboard_.options()) {
+    Pool& pool = pools_.at(opt.profile->abbrev);
+    const index_t tasks_per_node = opt.profile->cores_per_node;
+    for (index_t cores : config_.core_counts) {
+      const index_t nodes = (cores + tasks_per_node - 1) / tasks_per_node;
+      if (nodes > pool.total_nodes) {
+        ++too_large_rows_;
+      } else if (pool.smallest_fit == 0 || nodes < pool.smallest_fit) {
+        pool.smallest_fit = nodes;
+      }
+    }
+  }
 }
 
 void CampaignScheduler::register_workload(const std::string& name,
@@ -56,23 +71,28 @@ void CampaignScheduler::register_workload(const std::string& name,
   harvey::SimulationOptions options;
   options.solver.tau = 0.8;
   Workload w;
-  w.sim = std::make_unique<harvey::Simulation>(std::move(geometry), options);
+  {
+    // The mesh, partitions and plan cache live only for registration: the
+    // scheduler keeps the calibration and copies of the plans it places
+    // with, and never reads the rest again.
+    harvey::Simulation sim(std::move(geometry), options);
 
-  index_t max_cpn = 1;
-  for (const auto& [abbrev, pool] : pools_) {
-    max_cpn = std::max(max_cpn, pool.profile->cores_per_node);
-  }
-  w.calibration = core::calibrate_workload(*w.sim, cal_counts, max_cpn);
-  w.calibration.name = name;
+    index_t max_cpn = 1;
+    for (const auto& [abbrev, pool] : pools_) {
+      max_cpn = std::max(max_cpn, pool.profile->cores_per_node);
+    }
+    w.calibration = core::calibrate_workload(sim, cal_counts, max_cpn);
+    w.calibration.name = name;
 
-  // Prebuild every candidate plan now, single-threaded, so the concurrent
-  // executor only reads (Simulation's plan cache is not thread-safe).
-  for (const auto& [abbrev, pool] : pools_) {
-    for (index_t cores : config_.core_counts) {
-      const index_t cpn = std::min(cores, pool.profile->cores_per_node);
-      const index_t nodes = (cores + cpn - 1) / cpn;
-      if (nodes > pool.total_nodes) continue;  // never placeable here
-      w.plans[{abbrev, cores}] = &w.sim->plan(cores, cpn);
+    // Prebuild every candidate plan now, single-threaded, so the concurrent
+    // executor only reads.
+    for (const auto& [abbrev, pool] : pools_) {
+      for (index_t cores : config_.core_counts) {
+        const index_t cpn = std::min(cores, pool.profile->cores_per_node);
+        const index_t nodes = (cores + cpn - 1) / cpn;
+        if (nodes > pool.total_nodes) continue;  // never placeable here
+        w.plans.emplace(std::pair{abbrev, cores}, sim.plan(cores, cpn));
+      }
     }
   }
 
@@ -94,7 +114,7 @@ void CampaignScheduler::run_pilots(const std::string& name,
     for (index_t c : config_.core_counts) {
       const auto it = workload.plans.find({opt.profile->abbrev, c});
       if (it != workload.plans.end()) {
-        plan = it->second;
+        plan = &it->second;
         cores = c;
         break;
       }
@@ -130,34 +150,60 @@ PlacementDecision CampaignScheduler::place(
   const CampaignJobSpec& spec = *request.spec;
   const Workload& workload = workload_for(spec.geometry);
 
-  core::WorkloadCalibration cal = workload.calibration;
-  if (spec.resolution_factor != 1.0) {
-    cal = core::scale_resolution(cal, spec.resolution_factor);
-  }
+  // Series labels are vectors of strings: build none while the registry is
+  // off.
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  const bool recording = metrics.enabled();
+  const auto reject = [&metrics, recording](const char* reason) {
+    if (recording) {
+      metrics.add("sched_candidates_rejected_total", 1.0,
+                  {{"reason", reason}});
+    }
+  };
   // Phase-2 refinement, keyed per (geometry, resolution): the model's error
   // mix shifts with the memory/halo balance, so a resolution-scaled job is
   // corrected from observations at its own key once any exist. Before the
   // first measurement at a key the campaign-wide pool is the best guess —
   // an overrun requeue then self-heals, because the killed attempt records
   // the keyed observation the retry is placed with.
-  const std::string key = workload_key(spec);
-  core::CampaignTracker keyed;
-  for (const core::Observation& obs : tracker_.observations()) {
-    if (obs.workload == key) keyed.record(obs);
+  const auto correction_for = [this](const std::string& key) {
+    return tracker_.count(key) > 0 ? tracker_.correction_factor(key)
+                                   : tracker_.correction_factor();
+  };
+
+  const bool unconstrained = request.remaining_deadline_s.value() <= 0.0 &&
+                             request.remaining_budget.value() <= 0.0;
+  if (unconstrained && saturated()) {
+    // The full evaluation would find every fitting row blocked on current
+    // usage and answer kWait; it reports the same series on the way.
+    if (recording) {
+      const std::string key = workload_key(spec);
+      metrics.set("sched_correction_factor", correction_for(key),
+                  {{"workload", key}});
+      for (index_t i = 0; i < too_large_rows_; ++i) reject("too_large");
+      metrics.add("sched_place_total", 1.0, {{"outcome", "wait"}});
+    }
+    PlacementDecision d;
+    d.kind = PlacementDecision::Kind::kWait;
+    return d;
   }
-  const core::CampaignTracker& view = keyed.size() > 0 ? keyed : tracker_;
-  const real_t correction = view.correction_factor();
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-  metrics.set("sched_correction_factor", correction,
-              {{"workload", key}});
+
+  std::optional<core::WorkloadCalibration> scaled;
+  if (spec.resolution_factor != 1.0) {
+    scaled = core::scale_resolution(workload.calibration,
+                                    spec.resolution_factor);
+  }
+  const core::WorkloadCalibration& cal =
+      scaled ? *scaled : workload.calibration;
+  const std::string key = workload_key(spec);
+  const real_t correction = correction_for(key);
+  if (recording) {
+    metrics.set("sched_correction_factor", correction, {{"workload", key}});
+  }
   const auto rows =
       dashboard_.evaluate(cal, core::JobSpec{request.remaining_steps},
-                          config_.core_counts, &view);
+                          config_.core_counts, correction);
 
-  const auto reject = [&metrics](const char* reason) {
-    metrics.add("sched_candidates_rejected_total", 1.0,
-                {{"reason", reason}});
-  };
   std::vector<Candidate> feasible;
   for (const core::DashboardRow& raw : rows) {
     const auto pit = pools_.find(raw.instance);
@@ -194,7 +240,9 @@ PlacementDecision CampaignScheduler::place(
   }
 
   if (feasible.empty()) {
-    metrics.add("sched_place_total", 1.0, {{"outcome", "infeasible"}});
+    if (recording) {
+      metrics.add("sched_place_total", 1.0, {{"outcome", "infeasible"}});
+    }
     PlacementDecision d;
     d.kind = PlacementDecision::Kind::kInfeasible;
     d.reason = "no (instance, core count) option satisfies the job's "
@@ -207,7 +255,9 @@ PlacementDecision CampaignScheduler::place(
     if (c.fits_now) open.push_back(&c);
   }
   if (open.empty()) {
-    metrics.add("sched_place_total", 1.0, {{"outcome", "wait"}});
+    if (recording) {
+      metrics.add("sched_place_total", 1.0, {{"outcome", "wait"}});
+    }
     PlacementDecision d;
     d.kind = PlacementDecision::Kind::kWait;
     return d;
@@ -257,10 +307,12 @@ PlacementDecision CampaignScheduler::place(
       break;
   }
 
-  metrics.add("sched_place_total", 1.0, {{"outcome", "placed"}});
-  metrics.add("sched_placements_total", 1.0,
-              {{"instance", chosen->row.instance},
-               {"spot", chosen->spot ? "true" : "false"}});
+  if (recording) {
+    metrics.add("sched_place_total", 1.0, {{"outcome", "placed"}});
+    metrics.add("sched_placements_total", 1.0,
+                {{"instance", chosen->row.instance},
+                 {"spot", chosen->spot ? "true" : "false"}});
+  }
   PlacementDecision d;
   d.kind = PlacementDecision::Kind::kPlaced;
   d.placement.instance = chosen->row.instance;
@@ -291,6 +343,16 @@ void CampaignScheduler::release(const Placement& placement) {
   it->second.in_use -= placement.n_nodes;
 }
 
+bool CampaignScheduler::saturated() const noexcept {
+  bool any_fit = false;
+  for (const auto& [abbrev, pool] : pools_) {
+    if (pool.smallest_fit == 0) continue;
+    if (pool.smallest_fit <= pool.total_nodes - pool.in_use) return false;
+    any_fit = true;
+  }
+  return any_fit;
+}
+
 index_t CampaignScheduler::free_nodes(const std::string& instance) const {
   const auto it = pools_.find(instance);
   HEMO_REQUIRE(it != pools_.end(), "unknown instance: " + instance);
@@ -304,7 +366,7 @@ const cluster::WorkloadPlan& CampaignScheduler::plan_for(
   const auto it = w.plans.find({instance, n_tasks});
   HEMO_REQUIRE(it != w.plans.end(),
                "no prebuilt plan for " + geometry + " on " + instance);
-  return *it->second;
+  return it->second;
 }
 
 const cluster::InstanceProfile& CampaignScheduler::profile_for(

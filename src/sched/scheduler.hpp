@@ -10,22 +10,26 @@
 // without the model would do (bench/ablation_scheduler.cpp).
 //
 // The scheduler also owns the shared campaign state: one workload registry
-// (geometry + calibration + prebuilt decomposition plans), one
-// CampaignTracker fed by completed measurements (the paper's phase-2
-// refinement loop), and the per-instance capacity accounting. Plans are
-// built eagerly at registration so the concurrent executor only ever
-// *reads* them.
+// (calibration + prebuilt decomposition plans), one CampaignTracker fed by
+// completed measurements (the paper's phase-2 refinement loop), and the
+// per-instance capacity accounting. Plans are built eagerly at
+// registration so the concurrent executor only ever *reads* them; the
+// mesh and partitions they came from are dropped once registration ends.
+//
+// A decision costs O(1) in the campaign's size: the keyed correction
+// factor is a running-sum lookup, and while every pool is saturated an
+// unconstrained request is answered kWait without evaluating the model
+// (DESIGN.md, "Scheduler").
 #pragma once
 
 #include <map>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "cluster/virtual_cluster.hpp"
 #include "core/dashboard.hpp"
-#include "harvey/simulation.hpp"
+#include "geometry/generators.hpp"
 #include "sched/job.hpp"
 #include "util/common.hpp"
 
@@ -95,6 +99,14 @@ class CampaignScheduler {
   /// the job must wait for capacity / can never run.
   [[nodiscard]] PlacementDecision place(const PlacementRequest& request) const;
 
+  /// True when no pool has enough free nodes for the smallest of its
+  /// candidate allocations that fits the pool at all (and at least one
+  /// pool has such an allocation). place() then answers kWait for every
+  /// request without a deadline or budget: what fits an unconstrained
+  /// request depends only on node counts, never on the model. Changes only
+  /// through reserve() and release().
+  [[nodiscard]] bool saturated() const noexcept;
+
   /// Capacity accounting (the engine calls these around each attempt).
   void reserve(const Placement& placement);
   void release(const Placement& placement);
@@ -129,15 +141,16 @@ class CampaignScheduler {
     const cluster::InstanceProfile* profile = nullptr;
     index_t total_nodes = 0;
     index_t in_use = 0;
+    /// Nodes of the smallest candidate allocation that fits the pool; 0
+    /// when none does.
+    index_t smallest_fit = 0;
   };
 
   struct Workload {
-    std::unique_ptr<harvey::Simulation> sim;
     core::WorkloadCalibration calibration;
     /// (instance abbrev, n_tasks) -> plan built at the instance's
     /// tasks-per-node.
-    std::map<std::pair<std::string, index_t>, const cluster::WorkloadPlan*>
-        plans;
+    std::map<std::pair<std::string, index_t>, cluster::WorkloadPlan> plans;
   };
 
   [[nodiscard]] const Workload& workload_for(const std::string& name) const;
@@ -146,6 +159,10 @@ class CampaignScheduler {
   SchedulerConfig config_;
   core::Dashboard dashboard_;
   std::map<std::string, Pool> pools_;
+  /// Dashboard rows per evaluation whose allocation exceeds its whole
+  /// pool: the same for every request, so the saturated fast path reports
+  /// the `too_large` rejections the full evaluation would.
+  index_t too_large_rows_ = 0;
   std::map<std::string, Workload> workloads_;
   core::CampaignTracker tracker_;
 };

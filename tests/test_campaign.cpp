@@ -4,8 +4,13 @@
 
 #include <cmath>
 #include <iterator>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "core/campaign.hpp"
+#include "core/persistence.hpp"
+#include "util/rng.hpp"
 
 namespace hemo::core {
 namespace {
@@ -132,6 +137,63 @@ TEST(JobGuard, NoProgressYetOnlyHardLimitApplies) {
   g.predicted_seconds = units::Seconds(100.0);
   EXPECT_FALSE(g.should_abort(units::Seconds(5.0), 0.0));
   EXPECT_TRUE(g.should_abort(units::Seconds(120.0), 0.0));
+}
+
+/// Asserts that every O(1) query of `t` equals, bit for bit, the same
+/// quantity re-summed from scratch over t.observations() in insertion
+/// order.
+void expect_sums_match_rescan(const CampaignTracker& t) {
+  real_t log_sum = 0.0, abs_rel = 0.0;
+  std::map<std::string, std::pair<index_t, real_t>> keyed;
+  for (const Observation& o : t.observations()) {
+    const real_t log_ratio = std::log(o.measured_mflups / o.predicted_mflups);
+    log_sum += log_ratio;
+    abs_rel += std::abs((o.predicted_mflups - o.measured_mflups).value()) /
+               o.measured_mflups.value();
+    auto& [count, sum] = keyed[o.workload];
+    ++count;
+    sum += log_ratio;
+  }
+  const auto n = static_cast<real_t>(t.size());
+  EXPECT_EQ(t.correction_factor(), std::exp(log_sum / n));
+  EXPECT_EQ(t.mean_abs_relative_error(), abs_rel / n);
+  for (const auto& [key, entry] : keyed) {
+    EXPECT_EQ(t.count(key), entry.first) << key;
+    EXPECT_EQ(t.correction_factor(key),
+              std::exp(entry.second / static_cast<real_t>(entry.first)))
+        << key;
+  }
+  EXPECT_EQ(t.count("never-recorded"), 0);
+  EXPECT_EQ(t.correction_factor("never-recorded"), 1.0);
+}
+
+TEST(CampaignTracker, RunningSumsEqualRescanExactly) {
+  const std::string keys[] = {"cylinder", "aorta", "cerebral@x2",
+                              "cylinder@x4"};
+  Xoshiro256 rng(0xca4ba16);
+  CampaignTracker t;
+  for (int i = 0; i < 500; ++i) {
+    t.record(Observation{keys[rng.below(4)], "CSP-2", 36,
+                         units::Mflups(rng.uniform(5.0, 500.0)),
+                         units::Mflups(rng.uniform(5.0, 500.0))});
+    if (i % 37 == 0) expect_sums_match_rescan(t);
+  }
+  expect_sums_match_rescan(t);
+}
+
+TEST(CampaignTracker, RestoredTrackerSumsEqualRescanExactly) {
+  Xoshiro256 rng(77);
+  CampaignTracker t;
+  for (int i = 0; i < 64; ++i) {
+    t.record(Observation{i % 3 == 0 ? "aorta" : "cylinder@x2", "TRC", 80,
+                         units::Mflups(rng.uniform(10.0, 90.0)),
+                         units::Mflups(rng.uniform(10.0, 90.0))});
+  }
+  std::stringstream buffer;
+  save_campaign(t, buffer);
+  const CampaignTracker restored = load_campaign(buffer);
+  ASSERT_EQ(restored.size(), t.size());
+  expect_sums_match_rescan(restored);
 }
 
 }  // namespace

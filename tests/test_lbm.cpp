@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "geometry/generators.hpp"
 #include "lbm/access_counts.hpp"
 #include "lbm/lattice.hpp"
 #include "lbm/mesh.hpp"
+#include "util/rng.hpp"
 
 namespace hemo::lbm {
 namespace {
@@ -88,6 +90,84 @@ TEST(FluidMesh, BulkPointsHaveNoSolidLinks) {
   for (index_t p = 0; p < mesh.num_points(); ++p) {
     if (mesh.type(p) == PointType::kBulk) {
       EXPECT_EQ(mesh.solid_links(p), 0);
+    }
+  }
+}
+
+/// Neighbour table and solid-link counts from a dense voxel -> point map
+/// over the whole bounding box: the reference FluidMesh::build's plane
+/// window must reproduce entry for entry.
+void expect_matches_dense_reference(const geometry::VoxelGrid& grid,
+                                    const MeshOptions& options,
+                                    const std::string& what) {
+  SCOPED_TRACE(what);
+  const FluidMesh mesh = FluidMesh::build(grid, options);
+  std::vector<std::int32_t> point_of(static_cast<std::size_t>(grid.volume()),
+                                     kSolidLink);
+  std::int32_t count = 0;
+  for (index_t z = 0; z < grid.nz(); ++z) {
+    for (index_t y = 0; y < grid.ny(); ++y) {
+      for (index_t x = 0; x < grid.nx(); ++x) {
+        if (!grid.is_fluid(x, y, z)) continue;
+        ASSERT_LT(count, mesh.num_points());
+        EXPECT_EQ(mesh.voxel(count), (Voxel{x, y, z}));
+        point_of[static_cast<std::size_t>(grid.linear(x, y, z))] = count++;
+      }
+    }
+  }
+  ASSERT_EQ(mesh.num_points(), count);
+  for (index_t p = 0; p < mesh.num_points(); ++p) {
+    const Voxel& v = mesh.voxel(p);
+    index_t solid = 0;
+    for (index_t q = 0; q < kQ; ++q) {
+      const auto& o = kD3Q19[static_cast<std::size_t>(q)];
+      index_t x = v.x + o.dx, y = v.y + o.dy, z = v.z + o.dz;
+      if (options.periodic_x) x = (x + grid.nx()) % grid.nx();
+      if (options.periodic_y) y = (y + grid.ny()) % grid.ny();
+      if (options.periodic_z) z = (z + grid.nz()) % grid.nz();
+      const std::int32_t nb =
+          grid.in_bounds(x, y, z)
+              ? point_of[static_cast<std::size_t>(grid.linear(x, y, z))]
+              : kSolidLink;
+      ASSERT_EQ(mesh.neighbor(p, q), nb) << "point " << p << " q " << q;
+      if (q > 0 && nb == kSolidLink) ++solid;
+    }
+    ASSERT_EQ(mesh.solid_links(p), solid) << "point " << p;
+  }
+}
+
+TEST(FluidMesh, PlaneWindowMatchesDenseMapOnAnatomies) {
+  expect_matches_dense_reference(
+      geometry::make_cylinder({.radius = 10, .length = 80}).grid, {},
+      "cylinder");
+  expect_matches_dense_reference(geometry::make_aorta({}).grid, {}, "aorta");
+  expect_matches_dense_reference(geometry::make_cerebral({.depth = 5}).grid,
+                                 {}, "cerebral");
+  expect_matches_dense_reference(
+      geometry::make_periodic_cylinder({.radius = 4, .length = 12}).grid,
+      {.periodic_z = true}, "periodic cylinder");
+}
+
+// Thin grids are where the window is tight: with nz <= 3 and periodic z,
+// the planes below and above a point can be the same plane, or its own.
+TEST(FluidMesh, PlaneWindowMatchesDenseMapOnThinPeriodicGrids) {
+  Xoshiro256 rng(20260517);
+  for (index_t nz = 1; nz <= 3; ++nz) {
+    for (int axes = 0; axes < 8; ++axes) {
+      geometry::VoxelGrid grid(5, 4, nz);
+      for (index_t z = 0; z < nz; ++z) {
+        for (index_t y = 0; y < 4; ++y) {
+          for (index_t x = 0; x < 5; ++x) {
+            if (rng.below(10) < 7) grid.set(x, y, z, PointType::kBulk);
+          }
+        }
+      }
+      const MeshOptions options{.periodic_x = (axes & 1) != 0,
+                                .periodic_y = (axes & 2) != 0,
+                                .periodic_z = (axes & 4) != 0};
+      expect_matches_dense_reference(
+          grid, options,
+          "nz=" + std::to_string(nz) + " periodic=" + std::to_string(axes));
     }
   }
 }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "core/calibration.hpp"
 #include "decomp/comm_graph.hpp"
@@ -177,8 +179,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------------ decomp
 
+// The geometry name is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, which would put a per-build value
+// into the test name that ctest discovers.
 class GeometryTaskSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(GeometryTaskSweep, DecompositionInvariantsHold) {
   const std::string geo_name = std::get<0>(GetParam());
@@ -228,7 +233,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("cylinder", "aorta", "cerebral"),
                        ::testing::Values(3, 8, 27, 64)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 
