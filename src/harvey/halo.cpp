@@ -4,13 +4,10 @@
 #include <map>
 #include <utility>
 
-#include "lbm/point_update.hpp"
-
 namespace hemo::harvey {
 
 using lbm::kQ;
 using lbm::kSolidLink;
-using lbm::opposite;
 
 real_t HaloExchange::bytes_per_exchange() const {
   real_t bytes = 0.0;
@@ -46,13 +43,10 @@ HaloExchange build_halo_exchange(const lbm::FluidMesh& mesh,
     }
   }
 
-  // Ghost discovery + local neighbor tables + interior/frontier split.
+  // Ghost discovery: remote neighbors in any direction (the pull gather
+  // touches all 18 upstream neighbors, which is the same set).
   for (index_t t = 0; t < partition.n_tasks; ++t) {
     RankLayout& rank = topo.ranks[static_cast<std::size_t>(t)];
-    const index_t nl = rank.num_local();
-
-    // Collect remote neighbors (any direction; the pull gather touches all
-    // 18 upstream neighbors, which is the same set).
     std::vector<index_t> ghosts;
     for (index_t p : rank.local_points) {
       for (index_t q = 1; q < kQ; ++q) {
@@ -68,39 +62,6 @@ HaloExchange build_halo_exchange(const lbm::FluidMesh& mesh,
     ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
     rank.ghost_points = std::move(ghosts);
     topo.n_ghosts += rank.num_ghosts();
-
-    // Map: global id -> local slot for this rank.
-    auto local_slot = [&](index_t global) -> std::int32_t {
-      if (topo.owner_task[static_cast<std::size_t>(global)] ==
-          static_cast<std::int32_t>(t)) {
-        return topo.owner_slot[static_cast<std::size_t>(global)];
-      }
-      const auto it = std::lower_bound(rank.ghost_points.begin(),
-                                       rank.ghost_points.end(), global);
-      return static_cast<std::int32_t>(nl +
-                                       (it - rank.ghost_points.begin()));
-    };
-
-    rank.neighbors.assign(static_cast<std::size_t>(nl * kQ), kSolidLink);
-    rank.bulk_point.assign(static_cast<std::size_t>(nl), 0);
-    for (index_t i = 0; i < nl; ++i) {
-      const index_t p = rank.local_points[static_cast<std::size_t>(i)];
-      bool touches_ghost = false;
-      for (index_t q = 0; q < kQ; ++q) {
-        const std::int32_t nb = mesh.neighbor(p, q);
-        if (nb != kSolidLink) {
-          const std::int32_t slot = local_slot(nb);
-          rank.neighbors[static_cast<std::size_t>(i * kQ + q)] = slot;
-          touches_ghost = touches_ghost || slot >= nl;
-        }
-      }
-      (touches_ghost ? rank.frontier_slots : rank.interior_slots)
-          .push_back(i);
-      rank.bulk_point[static_cast<std::size_t>(i)] =
-          (mesh.type(p) == lbm::PointType::kBulk && mesh.solid_links(p) == 0)
-              ? 1
-              : 0;
-    }
   }
 
   // Channels: one directed message per (owner, receiver) pair that shares
@@ -131,81 +92,6 @@ HaloExchange build_halo_exchange(const lbm::FluidMesh& mesh,
     }
   }
   return topo;
-}
-
-void pack_channel(const HaloChannel& channel, std::span<const double> owner_f,
-                  std::span<double> buffer) {
-  for (std::size_t i = 0; i < channel.src_slots.size(); ++i) {
-    const auto src = static_cast<std::size_t>(channel.src_slots[i]);
-    for (std::size_t q = 0; q < static_cast<std::size_t>(kQ); ++q) {
-      buffer[i * static_cast<std::size_t>(kQ) + q] =
-          owner_f[src * static_cast<std::size_t>(kQ) + q];
-    }
-  }
-}
-
-void unpack_channel(const HaloChannel& channel, std::span<const double> buffer,
-                    std::span<double> receiver_f) {
-  for (std::size_t i = 0; i < channel.dst_slots.size(); ++i) {
-    const auto dst = static_cast<std::size_t>(channel.dst_slots[i]);
-    for (std::size_t q = 0; q < static_cast<std::size_t>(kQ); ++q) {
-      receiver_f[dst * static_cast<std::size_t>(kQ) + q] =
-          buffer[i * static_cast<std::size_t>(kQ) + q];
-    }
-  }
-}
-
-void update_rank_slots(const RankStepContext& ctx, const RankLayout& layout,
-                       std::span<const index_t> slots, index_t timestep,
-                       const double* f, double* f2) {
-  double g[kQ], out[kQ];
-  for (const index_t i : slots) {
-    if (ctx.segmented && layout.bulk_point[static_cast<std::size_t>(i)]) {
-      // Branch-free bulk-interior path: no solid links, so the gather
-      // needs no bounce-back fallback and the update skips the type
-      // dispatch — exactly the segmented serial kernel's arithmetic.
-      for (index_t q = 0; q < kQ; ++q) {
-        const std::int32_t nb =
-            layout
-                .neighbors[static_cast<std::size_t>(i * kQ + opposite(q))];
-        g[q] = f[static_cast<std::size_t>(static_cast<index_t>(nb) * kQ +
-                                          q)];
-      }
-      if (ctx.smagorinsky_cs2 > 0.0) {
-        lbm::update_interior_values<double, true>(
-            g, out, ctx.omega, ctx.force_shift, ctx.smagorinsky_cs2);
-      } else {
-        lbm::update_interior_values<double, false>(
-            g, out, ctx.omega, ctx.force_shift, ctx.smagorinsky_cs2);
-      }
-    } else {
-      const index_t p = layout.local_points[static_cast<std::size_t>(i)];
-      for (index_t q = 0; q < kQ; ++q) {
-        const std::int32_t nb =
-            layout
-                .neighbors[static_cast<std::size_t>(i * kQ + opposite(q))];
-        g[q] = nb != kSolidLink
-                   ? f[static_cast<std::size_t>(static_cast<index_t>(nb) *
-                                                    kQ +
-                                                q)]
-                   : f[static_cast<std::size_t>(i * kQ + opposite(q))];
-      }
-      std::array<double, 3> bc =
-          (*ctx.bc_velocity)[static_cast<std::size_t>(p)];
-      const auto& pulse = (*ctx.bc_pulse)[static_cast<std::size_t>(p)];
-      if (pulse[0] != 0.0) {
-        const double scale =
-            lbm::pulse_scale<double>(pulse[0], pulse[1], timestep);
-        for (auto& component : bc) component *= scale;
-      }
-      lbm::update_point_values<double>(
-          ctx.mesh->type(p), g, out, ctx.omega, bc, ctx.force_shift,
-          ctx.smagorinsky_cs2);
-    }
-    for (index_t q = 0; q < kQ; ++q) {
-      f2[static_cast<std::size_t>(i * kQ + q)] = out[q];
-    }
-  }
 }
 
 }  // namespace hemo::harvey

@@ -1,25 +1,16 @@
-// Shared halo-exchange topology and rank-local stepping helpers.
+// Halo-exchange topology of a decomposed mesh.
 //
-// Both distributed execution paths — the serial-in-process
-// harvey::DistributedSolver and the threaded runtime::ParallelSolver —
-// need exactly the same structures: per-rank ownership (local points,
-// deterministic ghost lists, a rank-local neighbor table) and the directed
-// pack/unpack channels that stand in for MPI point-to-point messages.
-// Building them once here keeps the two paths structurally identical, so
-// the bit-identity contract between them reduces to "both call
-// update_rank_slots with the same inputs".
-//
-// The layout additionally splits every rank's owned points into an
-// *interior* set (the 19-point gather touches only owned slots, so the
-// update needs no ghost data) and a *frontier* set (at least one upstream
-// neighbor is a ghost). That split is what lets the parallel runtime
-// overlap bulk-interior compute with in-flight halo messages, mirroring
-// the SegmentedMesh bulk/boundary split of the serial hot path.
+// Each rank owns its partition task's points and keeps ghost copies of
+// the upstream neighbors other ranks own (local slots: owned points
+// first, ghosts after — the slot numbering of a rank-local lbm::Solver).
+// Directed pack/unpack channels stand in for MPI point-to-point
+// messages: every step the owner copies the listed rows out and the
+// receiver copies them into its ghost rows. The threaded
+// runtime::ParallelSolver runs these channels through epoch-stamped
+// mailboxes; the stepping itself is lbm::Solver's.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "decomp/partition.hpp"
@@ -30,8 +21,7 @@ namespace hemo::harvey {
 
 /// One directed per-step halo message: the owner packs the listed local
 /// rows ("send"), the receiver unpacks them into its ghost rows ("recv").
-/// Buffers are owned by the caller (the serial solver keeps plain vectors,
-/// the threaded runtime wraps them in epoch-stamped mailboxes).
+/// Buffers are owned by the caller.
 struct HaloChannel {
   std::int32_t from = 0;  ///< owner rank
   std::int32_t to = 0;    ///< receiver rank
@@ -44,25 +34,11 @@ struct HaloChannel {
   }
 };
 
-/// Rank-local view of the decomposed mesh: owned points first, ghosts
-/// after, and a local neighbor table over that combined slot space.
+/// One rank's point lists: owned points take local slots
+/// [0, num_local()), ghosts the slots after.
 struct RankLayout {
   std::vector<index_t> local_points;  ///< global ids of owned points (ascending)
   std::vector<index_t> ghost_points;  ///< global ids of ghost points (ascending)
-  /// Local neighbor table: for each owned slot and direction, the local
-  /// slot (owned first, ghosts after) or lbm::kSolidLink.
-  std::vector<std::int32_t> neighbors;
-  /// Owned slots whose full 19-direction gather touches only owned slots
-  /// (including bounce-back from the slot itself) — safe to update before
-  /// any halo message arrives.
-  std::vector<index_t> interior_slots;
-  /// Owned slots with at least one ghost upstream neighbor — must wait for
-  /// the halo exchange.
-  std::vector<index_t> frontier_slots;
-  /// Per owned slot: 1 when the point is kBulk with zero solid links, i.e.
-  /// eligible for the branch-free interior arithmetic of the segmented
-  /// kernel path.
-  std::vector<std::uint8_t> bulk_point;
 
   [[nodiscard]] index_t num_local() const noexcept {
     return static_cast<index_t>(local_points.size());
@@ -73,6 +49,12 @@ struct RankLayout {
   /// Slot count of the rank's distribution arrays (owned + ghosts).
   [[nodiscard]] index_t total_slots() const noexcept {
     return num_local() + num_ghosts();
+  }
+  /// Global id of local slot s.
+  [[nodiscard]] index_t point(index_t s) const noexcept {
+    return s < num_local()
+               ? local_points[static_cast<std::size_t>(s)]
+               : ghost_points[static_cast<std::size_t>(s - num_local())];
   }
 };
 
@@ -93,46 +75,10 @@ struct HaloExchange {
   [[nodiscard]] real_t bytes_per_exchange() const;
 };
 
-/// Builds the halo topology: ghost discovery, local neighbor tables, the
-/// interior/frontier split, and one directed channel per (owner, receiver)
-/// pair that shares ghosts, with pack/unpack slot lists in the receiver's
-/// deterministic ghost order.
+/// Builds the halo topology: ghost discovery and one directed channel per
+/// (owner, receiver) pair that shares ghosts, with pack/unpack slot lists
+/// in the receiver's deterministic ghost order.
 [[nodiscard]] HaloExchange build_halo_exchange(
     const lbm::FluidMesh& mesh, const decomp::Partition& partition);
-
-/// Packs the channel's source rows from the owner's distribution array
-/// into `buffer` (length channel.payload_values()).
-void pack_channel(const HaloChannel& channel, std::span<const double> owner_f,
-                  std::span<double> buffer);
-
-/// Unpacks `buffer` into the receiver's ghost rows.
-void unpack_channel(const HaloChannel& channel, std::span<const double> buffer,
-                    std::span<double> receiver_f);
-
-/// Everything update_rank_slots needs besides the layout: the shared
-/// physics of one step in the AB + AoS + double configuration. bc tables
-/// are global-point-indexed (shared across ranks, read-only).
-struct RankStepContext {
-  const lbm::FluidMesh* mesh = nullptr;
-  double omega = 0.0;
-  double smagorinsky_cs2 = 0.0;
-  std::array<double, 3> force_shift = {0.0, 0.0, 0.0};
-  const std::vector<std::array<double, 3>>* bc_velocity = nullptr;
-  const std::vector<std::array<double, 2>>* bc_pulse = nullptr;
-  /// kSegmented: bulk-interior points take the branch-free
-  /// update_interior_values fast path (bit-identical arithmetic);
-  /// kReference: every point goes through the general gather + type
-  /// dispatch.
-  bool segmented = false;
-};
-
-/// Fused gather + collide for the listed owned slots of one rank, reading
-/// `f` and writing `f2` (both total_slots * kQ, AoS). The per-point
-/// arithmetic is exactly lbm::update_point_values / update_interior_values,
-/// which is what keeps every execution path bit-identical to the serial
-/// solver.
-void update_rank_slots(const RankStepContext& ctx, const RankLayout& layout,
-                       std::span<const index_t> slots, index_t timestep,
-                       const double* f, double* f2);
 
 }  // namespace hemo::harvey

@@ -1,14 +1,16 @@
 // Shared per-point update and boundary-profile helpers.
 //
-// Both the serial Solver and the distributed HARVEY solver perform exactly
-// this arithmetic, in this order, so their results agree bit-for-bit — the
-// property the distributed integration tests assert.
+// Every Solver kernel — reference and segmented path, serial and
+// rank-local — performs exactly this arithmetic, in this order, so their
+// results agree bit-for-bit. Nothing under src/ outside src/lbm/
+// includes this header (tools/lint_kernels.py).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <span>
-#include <vector>
 
 #include "geometry/generators.hpp"
 #include "lbm/lattice.hpp"
@@ -22,8 +24,8 @@ namespace hemo::lbm {
 /// non-inlet/outlet point. The LES branch is resolved at compile time so
 /// the segmented bulk kernels instantiate a version with no runtime
 /// branch at all. This is the single definition of the bulk arithmetic —
-/// the reference path, the segmented path, and the distributed HARVEY
-/// solver all inline it, which is what keeps them bit-identical.
+/// the reference and segmented paths both inline it, which is what keeps
+/// them bit-identical.
 template <typename T, bool WithLes>
 inline void update_interior_values(const T* g, T* out, T omega,
                                    const std::array<T, 3>& force_shift,
@@ -136,8 +138,7 @@ inline void update_point_values(
   }
 }
 
-/// Pulsatile inlet modulation factor: 1 + A sin(2 pi t / T). Shared by the
-/// serial and distributed solvers so their arithmetic stays identical.
+/// Pulsatile inlet modulation factor: 1 + A sin(2 pi t / T).
 template <typename T>
 [[nodiscard]] inline T pulse_scale(T amplitude, T period,
                                    index_t timestep) noexcept {
@@ -147,64 +148,58 @@ template <typename T>
                     std::sin(kTwoPi * static_cast<T>(timestep) / period);
 }
 
-/// Per-point pulsatile parameters {amplitude, period} from the inlets
-/// (zero for non-inlet points and steady inlets).
-template <typename T>
-[[nodiscard]] std::vector<std::array<T, 2>> inlet_pulse_params(
-    const FluidMesh& mesh, std::span<const geometry::InletSpec> inlets) {
-  std::vector<std::array<T, 2>> params(
-      static_cast<std::size_t>(mesh.num_points()), {T{0}, T{0}});
-  for (index_t p = 0; p < mesh.num_points(); ++p) {
-    if (mesh.type(p) != PointType::kInlet) continue;
-    const Voxel& v = mesh.voxel(p);
-    for (const auto& inlet : inlets) {
-      if (inlet.pulse_amplitude == 0.0) continue;
-      const real_t dx = static_cast<real_t>(v.x) - inlet.center.x;
-      const real_t dy = static_cast<real_t>(v.y) - inlet.center.y;
-      const real_t dz = static_cast<real_t>(v.z) - inlet.center.z;
-      const real_t d2 = inlet.axis == 0   ? dy * dy + dz * dz
-                        : inlet.axis == 1 ? dx * dx + dz * dz
-                                          : dx * dx + dy * dy;
-      const real_t r = inlet.radius;
-      if (d2 > (r + 0.5) * (r + 0.5)) continue;
-      params[static_cast<std::size_t>(p)] = {
-          static_cast<T>(inlet.pulse_amplitude),
-          static_cast<T>(inlet.pulse_period)};
-      break;
-    }
-  }
-  return params;
+/// Squared distance of point p from the axis of `inlet`, or nullopt when
+/// p lies outside the inlet's disc.
+[[nodiscard]] inline std::optional<real_t> inlet_distance2(
+    const FluidMesh& mesh, index_t p, const geometry::InletSpec& inlet) {
+  const Voxel& v = mesh.voxel(p);
+  const real_t dx = static_cast<real_t>(v.x) - inlet.center.x;
+  const real_t dy = static_cast<real_t>(v.y) - inlet.center.y;
+  const real_t dz = static_cast<real_t>(v.z) - inlet.center.z;
+  const real_t d2 = inlet.axis == 0   ? dy * dy + dz * dz
+                    : inlet.axis == 1 ? dx * dx + dz * dz
+                                      : dx * dx + dy * dy;
+  const real_t r = inlet.radius;
+  if (d2 > (r + 0.5) * (r + 0.5)) return std::nullopt;
+  return d2;
 }
 
-/// Per-point imposed inlet velocities from the Poiseuille profiles: zero
+/// Pulsatile parameters {amplitude, period} of point p from the inlets
+/// (zero for non-inlet points and steady inlets).
+template <typename T>
+[[nodiscard]] std::array<T, 2> inlet_pulse_params(
+    const FluidMesh& mesh, index_t p,
+    std::span<const geometry::InletSpec> inlets) {
+  if (mesh.type(p) != PointType::kInlet) return {T{0}, T{0}};
+  for (const auto& inlet : inlets) {
+    if (inlet.pulse_amplitude == 0.0) continue;
+    if (!inlet_distance2(mesh, p, inlet)) continue;
+    return {static_cast<T>(inlet.pulse_amplitude),
+            static_cast<T>(inlet.pulse_period)};
+  }
+  return {T{0}, T{0}};
+}
+
+/// Imposed inlet velocity of point p from the Poiseuille profiles: zero
 /// for non-inlet points; for inlet points the parabolic profile of the
 /// matching InletSpec.
 template <typename T>
-[[nodiscard]] std::vector<std::array<T, 3>> inlet_velocities(
-    const FluidMesh& mesh, std::span<const geometry::InletSpec> inlets) {
-  std::vector<std::array<T, 3>> bc(
-      static_cast<std::size_t>(mesh.num_points()), {T{0}, T{0}, T{0}});
-  for (index_t p = 0; p < mesh.num_points(); ++p) {
-    if (mesh.type(p) != PointType::kInlet) continue;
-    const Voxel& v = mesh.voxel(p);
-    for (const auto& inlet : inlets) {
-      const real_t dx = static_cast<real_t>(v.x) - inlet.center.x;
-      const real_t dy = static_cast<real_t>(v.y) - inlet.center.y;
-      const real_t dz = static_cast<real_t>(v.z) - inlet.center.z;
-      const real_t d2 = inlet.axis == 0   ? dy * dy + dz * dz
-                        : inlet.axis == 1 ? dx * dx + dz * dz
-                                          : dx * dx + dy * dy;
-      const real_t r = inlet.radius;
-      if (d2 > (r + 0.5) * (r + 0.5)) continue;
-      const real_t profile = std::max(0.0, 1.0 - d2 / (r * r));
-      const real_t u = inlet.peak_velocity * profile *
-                       static_cast<real_t>(inlet.direction);
-      auto& out = bc[static_cast<std::size_t>(p)];
-      out[static_cast<std::size_t>(inlet.axis)] = static_cast<T>(u);
-      break;
-    }
+[[nodiscard]] std::array<T, 3> inlet_velocity(
+    const FluidMesh& mesh, index_t p,
+    std::span<const geometry::InletSpec> inlets) {
+  std::array<T, 3> out = {T{0}, T{0}, T{0}};
+  if (mesh.type(p) != PointType::kInlet) return out;
+  for (const auto& inlet : inlets) {
+    const auto d2 = inlet_distance2(mesh, p, inlet);
+    if (!d2) continue;
+    const real_t r = inlet.radius;
+    const real_t profile = std::max(0.0, 1.0 - *d2 / (r * r));
+    const real_t u = inlet.peak_velocity * profile *
+                     static_cast<real_t>(inlet.direction);
+    out[static_cast<std::size_t>(inlet.axis)] = static_cast<T>(u);
+    break;
   }
-  return bc;
+  return out;
 }
 
 }  // namespace hemo::lbm

@@ -50,39 +50,55 @@ template <typename T>
 Solver<T>::Solver(const FluidMesh& mesh, const SolverParams& params,
                   std::span<const geometry::InletSpec> inlets)
     : mesh_(&mesh), params_(params), n_(mesh.num_points()) {
-  HEMO_REQUIRE(params.tau > 0.5, "tau must exceed 0.5 for stability");
   HEMO_REQUIRE(n_ > 0, "empty mesh");
-  omega_ = static_cast<T>(1.0 / params.tau);
-  cs2_ = static_cast<T>(params_.smagorinsky_cs * params_.smagorinsky_cs);
-
   if (params_.kernel.path == KernelPath::kSegmented) {
     seg_ = std::make_unique<SegmentedMesh>(SegmentedMesh::build(mesh));
   }
+  setup(inlets, {});
+}
+
+template <typename T>
+Solver<T>::Solver(const FluidMesh& mesh, const SolverParams& params,
+                  std::span<const geometry::InletSpec> inlets,
+                  std::span<const index_t> owned,
+                  std::span<const index_t> ghosts)
+    : mesh_(&mesh),
+      params_(params),
+      n_(static_cast<index_t>(owned.size() + ghosts.size())) {
+  HEMO_REQUIRE(params_.kernel.path == KernelPath::kSegmented,
+               "a rank-local solver needs the segmented kernel path");
+  seg_ = std::make_unique<SegmentedMesh>(
+      SegmentedMesh::build(mesh, owned, ghosts));
+  setup(inlets, owned);
+}
+
+template <typename T>
+void Solver<T>::setup(std::span<const geometry::InletSpec> inlets,
+                      std::span<const index_t> owned) {
+  HEMO_REQUIRE(params_.tau > 0.5, "tau must exceed 0.5 for stability");
+  omega_ = static_cast<T>(1.0 / params_.tau);
+  cs2_ = static_cast<T>(params_.smagorinsky_cs * params_.smagorinsky_cs);
 
   f_.resize(static_cast<std::size_t>(n_ * kQ));
   if (params_.kernel.propagation == Propagation::kAB) {
     f2_.resize(static_cast<std::size_t>(n_ * kQ));
   }
 
-  // Precompute inlet velocity targets from the Poiseuille profiles, then
-  // permute them into internal point order so the boundary kernels index
-  // them directly.
-  auto bc_velocity = inlet_velocities<T>(mesh, inlets);
-  auto bc_pulse = inlet_pulse_params<T>(mesh, inlets);
-  if (seg_) {
-    bc_velocity_.resize(bc_velocity.size());
-    bc_pulse_.resize(bc_pulse.size());
-    for (index_t i = 0; i < n_; ++i) {
-      const auto p = static_cast<std::size_t>(seg_->point_at(i));
-      bc_velocity_[static_cast<std::size_t>(i)] = bc_velocity[p];
-      bc_pulse_[static_cast<std::size_t>(i)] = bc_pulse[p];
-    }
-  } else {
-    bc_velocity_ = std::move(bc_velocity);
-    bc_pulse_ = std::move(bc_pulse);
+  // Inlet velocity targets from the Poiseuille profiles, in internal
+  // point order so the boundary kernels index them directly.
+  const index_t n_bc = seg_ ? seg_->num_owned() : n_;
+  bc_velocity_.resize(static_cast<std::size_t>(n_bc));
+  bc_pulse_.resize(static_cast<std::size_t>(n_bc));
+  for (index_t i = 0; i < n_bc; ++i) {
+    const index_t s = seg_ ? seg_->point_at(i) : i;
+    const index_t p = owned.empty() ? s : owned[static_cast<std::size_t>(s)];
+    bc_velocity_[static_cast<std::size_t>(i)] =
+        inlet_velocity<T>(*mesh_, p, inlets);
+    bc_pulse_[static_cast<std::size_t>(i)] =
+        inlet_pulse_params<T>(*mesh_, p, inlets);
   }
   for (std::size_t d = 0; d < 3; ++d) {
-    force_shift_[d] = static_cast<T>(params.tau * params.body_force[d]);
+    force_shift_[d] = static_cast<T>(params_.tau * params_.body_force[d]);
   }
   HEMO_REQUIRE(params_.num_threads >= 0, "negative num_threads");
 #ifdef _OPENMP
@@ -98,36 +114,44 @@ Solver<T>::Solver(const FluidMesh& mesh, const SolverParams& params,
 
 template <typename T>
 void Solver<T>::initialize() {
-  const bool aos = params_.kernel.layout == Layout::kAoS;
+  const Layout layout = params_.kernel.layout;
   // Rest equilibrium is point-independent, so the only thing the loop
   // structure decides is which thread first-touches which pages; mirror
-  // the step kernels' partition (bulk region and boundary region each
-  // statically chunked on the segmented path, one static loop on the
-  // reference path).
+  // the step kernels' partition (each pass's bulk blocks and boundary
+  // range statically chunked on the segmented path, then the ghost rows;
+  // one static loop on the reference path).
   const auto init_position = [&](index_t i) {
     for (index_t q = 0; q < kQ; ++q) {
       const T feq = equilibrium<T>(q, T{1}, T{0}, T{0}, T{0});
-      const index_t slot = aos ? i * kQ + q : q * n_ + i;
-      f_[static_cast<std::size_t>(slot)] = feq;
-      if (!f2_.empty()) f2_[static_cast<std::size_t>(slot)] = feq;
+      const auto slot = static_cast<std::size_t>(state_index(layout, n_, i, q));
+      f_[slot] = feq;
+      if (!f2_.empty()) f2_[slot] = feq;
     }
   };
   if (seg_) {
-    const index_t bulk = seg_->bulk_count();
-    const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
 #ifdef _OPENMP
 #pragma omp parallel num_threads(static_cast<int>(threads_))
 #endif
     {
       const auto [tid, nt] = omp_ids();
-      const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
-      for (index_t b = b0; b < b1; ++b) {
-        const index_t lo = block_bounds_[static_cast<std::size_t>(b)];
-        const index_t hi = block_bounds_[static_cast<std::size_t>(b + 1)];
-        for (index_t i = lo; i < hi; ++i) init_position(i);
+      for (const Pass& pass : passes_) {
+        const auto n_blocks = static_cast<index_t>(pass.blocks.size()) - 1;
+        const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
+        for (index_t b = b0; b < b1; ++b) {
+          const index_t lo = pass.blocks[static_cast<std::size_t>(b)];
+          const index_t hi = pass.blocks[static_cast<std::size_t>(b + 1)];
+          for (index_t i = lo; i < hi; ++i) init_position(i);
+        }
+        const index_t bulk_end = pass.range.bulk_end;
+        const auto [blo, bhi] =
+            static_chunk(pass.range.end - bulk_end, tid, nt);
+        for (index_t i = bulk_end + blo; i < bulk_end + bhi; ++i) {
+          init_position(i);
+        }
       }
-      const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
-      for (index_t i = bulk + blo; i < bulk + bhi; ++i) init_position(i);
+      const index_t owned = seg_->num_owned();
+      const auto [glo, ghi] = static_chunk(n_ - owned, tid, nt);
+      for (index_t i = owned + glo; i < owned + ghi; ++i) init_position(i);
     }
   } else {
 #ifdef _OPENMP
@@ -169,18 +193,19 @@ void Solver<T>::update_boundary_point(index_t i, const T* g, T* out) const {
 // read and written by exactly one point (the reader is the writer — see
 // the derivation in tests/test_solver.cpp and DESIGN.md), so all three
 // loops are race-free under OpenMP with per-iteration locals — and, for
-// the same reason, splitting a step into a bulk pass plus a boundary pass
-// (segmented path) cannot change the result: no point's gather reads a
-// location another point writes within the same step.
+// the same reason, splitting a step into bulk and boundary ranges of an
+// interior and a frontier pass (segmented path) cannot change the result:
+// no point's gather reads a location another point writes within the same
+// step.
 
 template <typename T>
 template <Layout L>
-void Solver<T>::step_ab() {
+void Solver<T>::step_ab(const Pass& pass) {
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
     num_threads(static_cast<int>(threads_))
 #endif
-  for (index_t p = 0; p < n_; ++p) {
+  for (index_t p = pass.range.begin; p < pass.range.end; ++p) {
     T g[kQ], out[kQ];
     for (index_t q = 0; q < kQ; ++q) {
       const std::int32_t nb = mesh_->neighbor(p, opposite(q));
@@ -193,17 +218,16 @@ void Solver<T>::step_ab() {
       f2_[static_cast<std::size_t>(idx<L>(p, q))] = out[q];
     }
   }
-  f_.swap(f2_);
 }
 
 template <typename T>
 template <Layout L>
-void Solver<T>::step_aa_even() {
+void Solver<T>::step_aa_even(const Pass& pass) {
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
     num_threads(static_cast<int>(threads_))
 #endif
-  for (index_t p = 0; p < n_; ++p) {
+  for (index_t p = pass.range.begin; p < pass.range.end; ++p) {
     T g[kQ], out[kQ];
     for (index_t q = 0; q < kQ; ++q) {
       g[q] = f_[static_cast<std::size_t>(idx<L>(p, q))];
@@ -217,12 +241,12 @@ void Solver<T>::step_aa_even() {
 
 template <typename T>
 template <Layout L>
-void Solver<T>::step_aa_odd() {
+void Solver<T>::step_aa_odd(const Pass& pass) {
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
     num_threads(static_cast<int>(threads_))
 #endif
-  for (index_t p = 0; p < n_; ++p) {
+  for (index_t p = pass.range.begin; p < pass.range.end; ++p) {
     T g[kQ], out[kQ];
     for (index_t q = 0; q < kQ; ++q) {
       const std::int32_t m = mesh_->neighbor(p, opposite(q));
@@ -441,17 +465,18 @@ void Solver<T>::seg_boundary_aa_odd(index_t lo, index_t hi) {
   }
 }
 
-// Step drivers: the bulk segment is walked block-by-block (span-aligned
-// block_bounds_, contiguous block ranges per thread — the exact partition
-// initialize() first-touched), the boundary segment by a static chunk. No
-// barrier between the two passes: within a step no point's gather reads a
-// location another point writes (see the parallelization notes above).
+// Pass drivers: the pass's bulk range is walked block-by-block
+// (span-aligned blocks, contiguous block ranges per thread — the exact
+// partition initialize() first-touched), its boundary range by a static
+// chunk. No barrier between the two: within a step no point's gather
+// reads a location another point writes (see the parallelization notes
+// above).
 
 template <typename T>
 template <Layout L, bool WithLes>
-void Solver<T>::seg_step_ab() {
-  const index_t bulk = seg_->bulk_count();
-  const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
+void Solver<T>::seg_step_ab(const Pass& pass) {
+  const auto n_blocks = static_cast<index_t>(pass.blocks.size()) - 1;
+  const index_t bulk_end = pass.range.bulk_end;
 #ifdef _OPENMP
 #pragma omp parallel num_threads(static_cast<int>(threads_))
 #endif
@@ -459,23 +484,24 @@ void Solver<T>::seg_step_ab() {
     const auto [tid, nt] = omp_ids();
     const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
     for (index_t b = b0; b < b1; ++b) {
-      seg_bulk_ab<L, WithLes>(block_bounds_[static_cast<std::size_t>(b)],
-                              block_bounds_[static_cast<std::size_t>(b + 1)]);
+      seg_bulk_ab<L, WithLes>(pass.blocks[static_cast<std::size_t>(b)],
+                              pass.blocks[static_cast<std::size_t>(b + 1)]);
     }
-    // Streaming stores are weakly ordered: fence them (per thread) ahead
-    // of the implicit barrier that publishes this step's back array.
+    // Streaming stores are weakly ordered: each pass fences them (per
+    // thread) ahead of the implicit barrier that ends it, so they are
+    // visible before the back array is swapped in or a rank barrier
+    // publishes it.
     if (nt_stores_) simd::store_fence(backend_);
-    const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
-    seg_boundary_ab<L>(bulk + blo, bulk + bhi);
+    const auto [blo, bhi] = static_chunk(pass.range.end - bulk_end, tid, nt);
+    seg_boundary_ab<L>(bulk_end + blo, bulk_end + bhi);
   }
-  f_.swap(f2_);
 }
 
 template <typename T>
 template <Layout L, bool WithLes>
-void Solver<T>::seg_step_aa_even() {
-  const index_t bulk = seg_->bulk_count();
-  const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
+void Solver<T>::seg_step_aa_even(const Pass& pass) {
+  const auto n_blocks = static_cast<index_t>(pass.blocks.size()) - 1;
+  const index_t bulk_end = pass.range.bulk_end;
 #ifdef _OPENMP
 #pragma omp parallel num_threads(static_cast<int>(threads_))
 #endif
@@ -484,19 +510,19 @@ void Solver<T>::seg_step_aa_even() {
     const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
     for (index_t b = b0; b < b1; ++b) {
       seg_bulk_aa_even<L, WithLes>(
-          block_bounds_[static_cast<std::size_t>(b)],
-          block_bounds_[static_cast<std::size_t>(b + 1)]);
+          pass.blocks[static_cast<std::size_t>(b)],
+          pass.blocks[static_cast<std::size_t>(b + 1)]);
     }
-    const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
-    seg_boundary_aa_even<L>(bulk + blo, bulk + bhi);
+    const auto [blo, bhi] = static_chunk(pass.range.end - bulk_end, tid, nt);
+    seg_boundary_aa_even<L>(bulk_end + blo, bulk_end + bhi);
   }
 }
 
 template <typename T>
 template <Layout L, bool WithLes>
-void Solver<T>::seg_step_aa_odd() {
-  const index_t bulk = seg_->bulk_count();
-  const auto n_blocks = static_cast<index_t>(block_bounds_.size()) - 1;
+void Solver<T>::seg_step_aa_odd(const Pass& pass) {
+  const auto n_blocks = static_cast<index_t>(pass.blocks.size()) - 1;
+  const index_t bulk_end = pass.range.bulk_end;
 #ifdef _OPENMP
 #pragma omp parallel num_threads(static_cast<int>(threads_))
 #endif
@@ -505,11 +531,11 @@ void Solver<T>::seg_step_aa_odd() {
     const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
     for (index_t b = b0; b < b1; ++b) {
       seg_bulk_aa_odd<L, WithLes>(
-          block_bounds_[static_cast<std::size_t>(b)],
-          block_bounds_[static_cast<std::size_t>(b + 1)]);
+          pass.blocks[static_cast<std::size_t>(b)],
+          pass.blocks[static_cast<std::size_t>(b + 1)]);
     }
-    const auto [blo, bhi] = static_chunk(n_ - bulk, tid, nt);
-    seg_boundary_aa_odd<L>(bulk + blo, bulk + bhi);
+    const auto [blo, bhi] = static_chunk(pass.range.end - bulk_end, tid, nt);
+    seg_boundary_aa_odd<L>(bulk_end + blo, bulk_end + bhi);
   }
 }
 
@@ -518,14 +544,16 @@ void Solver<T>::bind_kernels() {
   const bool aos = params_.kernel.layout == Layout::kAoS;
   const bool ab = params_.kernel.propagation == Propagation::kAB;
   if (params_.kernel.path == KernelPath::kReference) {
+    passes_[0].range = {0, 0, n_};
+    passes_[1].range = {n_, n_, n_};
     if (ab) {
-      step_even_fn_ = aos ? &Solver::step_ab<Layout::kAoS>
+      pass_even_fn_ = aos ? &Solver::step_ab<Layout::kAoS>
                           : &Solver::step_ab<Layout::kSoA>;
-      step_odd_fn_ = step_even_fn_;
+      pass_odd_fn_ = pass_even_fn_;
     } else {
-      step_even_fn_ = aos ? &Solver::step_aa_even<Layout::kAoS>
+      pass_even_fn_ = aos ? &Solver::step_aa_even<Layout::kAoS>
                           : &Solver::step_aa_even<Layout::kSoA>;
-      step_odd_fn_ = aos ? &Solver::step_aa_odd<Layout::kAoS>
+      pass_odd_fn_ = aos ? &Solver::step_aa_odd<Layout::kAoS>
                          : &Solver::step_aa_odd<Layout::kSoA>;
     }
     return;
@@ -533,11 +561,11 @@ void Solver<T>::bind_kernels() {
   const bool les = cs2_ > T{0};
   const auto bind = [&]<Layout L, bool WithLes>() {
     if (ab) {
-      step_even_fn_ = &Solver::seg_step_ab<L, WithLes>;
-      step_odd_fn_ = step_even_fn_;
+      pass_even_fn_ = &Solver::seg_step_ab<L, WithLes>;
+      pass_odd_fn_ = pass_even_fn_;
     } else {
-      step_even_fn_ = &Solver::seg_step_aa_even<L, WithLes>;
-      step_odd_fn_ = &Solver::seg_step_aa_odd<L, WithLes>;
+      pass_even_fn_ = &Solver::seg_step_aa_even<L, WithLes>;
+      pass_odd_fn_ = &Solver::seg_step_aa_odd<L, WithLes>;
     }
   };
   if (aos) {
@@ -568,30 +596,59 @@ void Solver<T>::bind_kernels() {
     nt_stores_ = want_nt && tile_fn_nt_ != nullptr;
   }
 
-  // Span-aligned bulk blocks: cut only at RLE span ends so the tile
-  // kernels always see whole spans (no masked tails at partition seams),
-  // sized so a thread's per-block working set stays cache-resident while
-  // still yielding several blocks per thread for an even static split.
-  const index_t bulk = seg_->bulk_count();
-  const index_t target = std::clamp(bulk / (threads_ * 8), index_t{512},
-                                    index_t{4096});
-  block_bounds_.clear();
-  block_bounds_.push_back(0);
-  index_t in_block = 0;
-  for (const auto& s : seg_->spans()) {
-    in_block += s.length;
-    if (in_block >= target) {
-      block_bounds_.push_back(s.begin + s.length);
-      in_block = 0;
+  // Span-aligned bulk blocks per pass: cut only at RLE span ends so the
+  // tile kernels always see whole spans (no masked tails at partition
+  // seams), sized so a thread's per-block working set stays
+  // cache-resident while still yielding several blocks per thread for an
+  // even static split.
+  passes_[0].range = seg_->interior();
+  passes_[1].range = seg_->frontier();
+  for (Pass& pass : passes_) {
+    const SegmentPass& r = pass.range;
+    const index_t target = std::clamp((r.bulk_end - r.begin) / (threads_ * 8),
+                                      index_t{512}, index_t{4096});
+    pass.blocks.assign(1, r.begin);
+    index_t in_block = 0;
+    for (const auto& s : seg_->spans()) {
+      if (s.begin < r.begin || s.begin >= r.bulk_end) continue;
+      in_block += s.length;
+      if (in_block >= target) {
+        pass.blocks.push_back(s.begin + s.length);
+        in_block = 0;
+      }
     }
+    if (pass.blocks.back() != r.bulk_end) pass.blocks.push_back(r.bulk_end);
   }
-  if (block_bounds_.back() != bulk) block_bounds_.push_back(bulk);
+}
+
+template <typename T>
+void Solver<T>::run_pass(const Pass& pass) {
+  // The layout/propagation/path dispatch is bound once at construction;
+  // a pass is one indirect call through the parity-selected kernel.
+  if (pass.range.begin == pass.range.end) return;
+  const bool even = params_.kernel.propagation == Propagation::kAB ||
+                    timestep_ % 2 == 0;
+  (this->*(even ? pass_even_fn_ : pass_odd_fn_))(pass);
+}
+
+template <typename T>
+void Solver<T>::interior_pass() {
+  run_pass(passes_[0]);
+}
+
+template <typename T>
+void Solver<T>::frontier_pass() {
+  run_pass(passes_[1]);
+}
+
+template <typename T>
+void Solver<T>::end_step() {
+  if (params_.kernel.propagation == Propagation::kAB) f_.swap(f2_);
+  ++timestep_;
 }
 
 template <typename T>
 void Solver<T>::step() {
-  // The layout/propagation/path dispatch is bound once at construction;
-  // a step is one indirect call through the parity-selected kernel.
 #ifdef HEMO_OBS_DETAIL
   const bool aos = params_.kernel.layout == Layout::kAoS;
   const char* phase = params_.kernel.propagation == Propagation::kAB
@@ -602,9 +659,8 @@ void Solver<T>::step() {
   // it to the profiler's pointer-keeping scope is safe.
   const obs::PhaseScope profile_phase(phase);
 #endif
-  const bool even = params_.kernel.propagation == Propagation::kAB ||
-                    timestep_ % 2 == 0;
-  (this->*(even ? step_even_fn_ : step_odd_fn_))();
+  interior_pass();
+  frontier_pass();
 #ifdef HEMO_OBS_DETAIL
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
   if (metrics.enabled()) {
@@ -620,7 +676,7 @@ void Solver<T>::step() {
                           : "f64"}});
   }
 #endif
-  ++timestep_;
+  end_step();
 }
 
 template <typename T>
@@ -635,12 +691,7 @@ Moments<real_t> Solver<T>::moments_at(index_t p) const {
   HEMO_REQUIRE(natural_order(),
                "moments require natural distribution order (AA: even step)");
   std::array<T, kQ> g;
-  const bool aos = params_.kernel.layout == Layout::kAoS;
-  const index_t i = internal_pos(p);
-  for (index_t q = 0; q < kQ; ++q) {
-    const index_t slot = aos ? i * kQ + q : q * n_ + i;
-    g[static_cast<std::size_t>(q)] = f_[static_cast<std::size_t>(slot)];
-  }
+  read_row(p, g.data());
   const Moments<T> m = moments<T>(std::span<const T, kQ>(g));
   return Moments<real_t>{static_cast<real_t>(m.rho),
                          static_cast<real_t>(m.ux),
@@ -703,20 +754,52 @@ real_t Solver<T>::mean_speed() const {
 }
 
 template <typename T>
-std::vector<T> Solver<T>::export_state() const {
-  std::vector<T> state(f_.size());
-  if (!seg_) {
-    std::copy(f_.begin(), f_.end(), state.begin());
-    return state;
+void Solver<T>::read_row(index_t p, T* row) const {
+  const Layout layout = params_.kernel.layout;
+  const index_t i = internal_pos(p);
+  for (index_t q = 0; q < kQ; ++q) {
+    row[q] = f_[static_cast<std::size_t>(state_index(layout, n_, i, q))];
   }
-  const bool aos = params_.kernel.layout == Layout::kAoS;
+}
+
+template <typename T>
+void Solver<T>::write_row(index_t p, const T* row) {
+  const Layout layout = params_.kernel.layout;
+  const index_t i = internal_pos(p);
+  for (index_t q = 0; q < kQ; ++q) {
+    f_[static_cast<std::size_t>(state_index(layout, n_, i, q))] = row[q];
+  }
+}
+
+template <typename T>
+void Solver<T>::copy_rows_out(std::span<const std::int32_t> slots,
+                              std::span<T> rows) const {
+  HEMO_REQUIRE(rows.size() == slots.size() * kQ,
+               "copy_rows_out: rows must hold kQ values per slot");
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    read_row(slots[k], rows.data() + k * static_cast<std::size_t>(kQ));
+  }
+}
+
+template <typename T>
+void Solver<T>::copy_rows_in(std::span<const std::int32_t> slots,
+                             std::span<const T> rows) {
+  HEMO_REQUIRE(rows.size() == slots.size() * kQ,
+               "copy_rows_in: rows must hold kQ values per slot");
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    write_row(slots[k], rows.data() + k * static_cast<std::size_t>(kQ));
+  }
+}
+
+template <typename T>
+std::vector<T> Solver<T>::export_state() const {
+  const Layout layout = params_.kernel.layout;
+  std::vector<T> state(f_.size());
+  T row[kQ];
   for (index_t p = 0; p < n_; ++p) {
-    const index_t i = seg_->position_of(p);
+    read_row(p, row);
     for (index_t q = 0; q < kQ; ++q) {
-      const index_t dst = aos ? p * kQ + q : q * n_ + p;
-      const index_t src = aos ? i * kQ + q : q * n_ + i;
-      state[static_cast<std::size_t>(dst)] =
-          f_[static_cast<std::size_t>(src)];
+      state[static_cast<std::size_t>(state_index(layout, n_, p, q))] = row[q];
     }
   }
   return state;
@@ -727,19 +810,13 @@ void Solver<T>::restore_state(std::span<const T> state, index_t timestep) {
   HEMO_REQUIRE(state.size() == f_.size(),
                "restore_state: state size mismatch");
   HEMO_REQUIRE(timestep >= 0, "restore_state: negative timestep");
-  if (!seg_) {
-    std::copy(state.begin(), state.end(), f_.begin());
-  } else {
-    const bool aos = params_.kernel.layout == Layout::kAoS;
-    for (index_t p = 0; p < n_; ++p) {
-      const index_t i = seg_->position_of(p);
-      for (index_t q = 0; q < kQ; ++q) {
-        const index_t src = aos ? p * kQ + q : q * n_ + p;
-        const index_t dst = aos ? i * kQ + q : q * n_ + i;
-        f_[static_cast<std::size_t>(dst)] =
-            state[static_cast<std::size_t>(src)];
-      }
+  const Layout layout = params_.kernel.layout;
+  T row[kQ];
+  for (index_t p = 0; p < n_; ++p) {
+    for (index_t q = 0; q < kQ; ++q) {
+      row[q] = state[static_cast<std::size_t>(state_index(layout, n_, p, q))];
     }
+    write_row(p, row);
   }
   timestep_ = timestep;
 }
@@ -748,10 +825,8 @@ template <typename T>
 real_t Solver<T>::f_value(index_t p, index_t q) const {
   HEMO_REQUIRE(p >= 0 && p < n_ && q >= 0 && q < kQ,
                "f_value index out of range");
-  const index_t i = internal_pos(p);
-  const index_t slot =
-      params_.kernel.layout == Layout::kAoS ? i * kQ + q : q * n_ + i;
-  return static_cast<real_t>(f_[static_cast<std::size_t>(slot)]);
+  return static_cast<real_t>(f_[static_cast<std::size_t>(
+      state_index(params_.kernel.layout, n_, internal_pos(p), q))]);
 }
 
 template class Solver<float>;

@@ -25,12 +25,22 @@
 // The layout/propagation/path dispatch is hoisted out of step() into
 // kernel function pointers bound at construction.
 //
+// A step is two passes and an end: interior_pass(), frontier_pass(),
+// end_step() (AB swap, ++timestep). Over a whole mesh the frontier pass
+// is empty. A rank of a decomposed run (runtime::ParallelSolver) builds
+// a rank-local solver over its owned points plus ghost rows and calls the
+// same passes with halo traffic around them: pack (copy_rows_out) before
+// the interior pass, unpack into the ghost rows (copy_rows_in) before the
+// frontier pass. Ranks therefore run exactly the serial kernels.
+//
 // Boundary conditions follow HARVEY's setup in the paper: a Poiseuille
 // velocity profile imposed at inlets (wet-node equilibrium with the locally
 // arriving density) and a zero-pressure (rho = 1) equilibrium outlet.
 // Walls are full bounce-back.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -59,9 +69,8 @@ struct SolverParams {
   real_t smagorinsky_cs = 0.0;
 
   /// OpenMP threads for the step kernels and reductions; 0 takes the
-  /// OpenMP default team size. The decomposition layer runs one solver
-  /// per rank and pins this to 1 unless told otherwise — ranks x threads
-  /// should not exceed the physical cores (see runtime/parallel_solver).
+  /// OpenMP default team size. runtime::ParallelSolver builds every
+  /// rank's solver with 1: the rank threads are the parallelism there.
   /// All results are bit-stable across thread counts.
   index_t num_threads = 0;
 };
@@ -75,18 +84,50 @@ class Solver {
   Solver(const FluidMesh& mesh, const SolverParams& params,
          std::span<const geometry::InletSpec> inlets);
 
+  /// Rank-local solver over `owned` points of `mesh` plus `ghosts`, the
+  /// upstream neighbors other ranks own. Point index (local slot) s is
+  /// owned[s], then ghosts[s - owned.size()]; the passes step the owned
+  /// slots and only read the ghost rows, which the caller refreshes with
+  /// copy_rows_in() before each frontier pass. Segmented path only; an
+  /// empty `owned` gives an idle solver.
+  Solver(const FluidMesh& mesh, const SolverParams& params,
+         std::span<const geometry::InletSpec> inlets,
+         std::span<const index_t> owned, std::span<const index_t> ghosts);
+
   /// Resets every point to rest equilibrium (rho = 1, u = 0). Pages of
   /// the distribution arrays are first-touched under the same static
   /// thread partition the step kernels use.
   void initialize();
 
-  /// Advances one timestep. For AA the parity is tracked internally.
+  /// Advances one timestep: interior_pass(), frontier_pass(),
+  /// end_step(). For AA the parity is tracked internally.
   void step();
+
+  /// Updates the owned points that read no ghost row.
+  void interior_pass();
+
+  /// Updates the owned points that read a ghost row (none over a whole
+  /// mesh).
+  void frontier_pass();
+
+  /// Ends the step after both passes: AB array swap, ++timestep.
+  void end_step();
+
+  /// Copies the rows (the kQ values of one point) of local slots `slots`
+  /// into `rows`, slot after slot, whatever the layout — the halo message
+  /// format.
+  void copy_rows_out(std::span<const std::int32_t> slots,
+                     std::span<T> rows) const;
+
+  /// Writes rows in the copy_rows_out() format into local slots `slots`.
+  void copy_rows_in(std::span<const std::int32_t> slots,
+                    std::span<const T> rows);
 
   /// Advances n timesteps.
   void run(index_t n);
 
   [[nodiscard]] index_t timestep() const noexcept { return timestep_; }
+  /// The whole mesh, also for a rank-local solver.
   [[nodiscard]] const FluidMesh& mesh() const noexcept { return *mesh_; }
   [[nodiscard]] const SolverParams& params() const noexcept { return params_; }
 
@@ -118,8 +159,9 @@ class Solver {
   /// Macroscopic moments at point p. Requires natural_order().
   [[nodiscard]] Moments<real_t> moments_at(index_t p) const;
 
-  /// Total mass over the domain. Requires natural_order(). Parallel with
-  /// a fixed-block ordered reduction: the result is bit-stable across
+  /// Total mass over every point held (a rank-local solver counts its
+  /// ghost rows too). Requires natural_order(). Parallel with a
+  /// fixed-block ordered reduction: the result is bit-stable across
   /// thread counts.
   [[nodiscard]] real_t total_mass() const;
 
@@ -130,8 +172,8 @@ class Solver {
   /// Direct read of one distribution value (tests only).
   [[nodiscard]] real_t f_value(index_t p, index_t q) const;
 
-  /// Distribution state in canonical order — original mesh point indices
-  /// under the active Layout — independent of the kernel path, so
+  /// Distribution state in canonical order — point indices under the
+  /// active Layout (state_index()) — independent of the kernel path, so
   /// checkpoints written by one path restore bit-exactly into the other.
   [[nodiscard]] std::vector<T> export_state() const;
 
@@ -149,31 +191,59 @@ class Solver {
     }
   }
 
-  /// Internal storage position of original mesh point p.
+  /// One pass of a step: its positions and, on the segmented path, the
+  /// span-aligned bulk work blocks — block b covers positions
+  /// [blocks[b], blocks[b+1]). Blocks are cut only at RLE span ends so the
+  /// tile kernels always see whole spans (no artificial masked tails at
+  /// partition seams), sized for L2 residency, and assigned to threads
+  /// statically so the same thread streams the same pages every step
+  /// (first-touch locality; initialize() mirrors the partition). The
+  /// reference path runs one pass over every point and an empty one.
+  struct Pass {
+    SegmentPass range;
+    std::vector<index_t> blocks;
+  };
+
+  /// Internal storage position of point p.
   [[nodiscard]] index_t internal_pos(index_t p) const noexcept {
     return seg_ ? seg_->position_of(p) : p;
   }
 
+  /// Shared tail of both constructors: boundary tables (owned slot s is
+  /// mesh point owned[s]; empty `owned` means slot = point), kernel
+  /// binding, initialization.
+  void setup(std::span<const geometry::InletSpec> inlets,
+             std::span<const index_t> owned);
+
   /// Selects the kernel function pointers for the configured
-  /// path/layout/propagation (and, on the segmented path, LES mode).
+  /// path/layout/propagation (and, on the segmented path, LES mode) and
+  /// plans the passes.
   void bind_kernels();
 
-  // Reference kernels: one fused loop over all points.
-  template <Layout L>
-  void step_ab();
-  template <Layout L>
-  void step_aa_even();
-  template <Layout L>
-  void step_aa_odd();
+  /// Runs one pass with the parity-selected kernel.
+  void run_pass(const Pass& pass);
 
-  // Segmented kernels: branch-free RLE bulk segment + general boundary
-  // segment, both statically partitioned across threads.
+  /// The kQ values of point p, direction by direction, whatever the
+  /// layout: the one place rows are copied in and out.
+  void read_row(index_t p, T* row) const;
+  void write_row(index_t p, const T* row);
+
+  // Reference kernels: one fused loop over the pass's points.
+  template <Layout L>
+  void step_ab(const Pass& pass);
+  template <Layout L>
+  void step_aa_even(const Pass& pass);
+  template <Layout L>
+  void step_aa_odd(const Pass& pass);
+
+  // Segmented kernels: branch-free RLE bulk range + general boundary
+  // range of a pass, both statically partitioned across threads.
   template <Layout L, bool WithLes>
-  void seg_step_ab();
+  void seg_step_ab(const Pass& pass);
   template <Layout L, bool WithLes>
-  void seg_step_aa_even();
+  void seg_step_aa_even(const Pass& pass);
   template <Layout L, bool WithLes>
-  void seg_step_aa_odd();
+  void seg_step_aa_odd(const Pass& pass);
 
   template <Layout L, bool WithLes>
   void seg_bulk_ab(index_t lo, index_t hi);
@@ -193,8 +263,8 @@ class Solver {
   /// p is an original mesh index.
   void update_point(index_t p, const T* g, T* out) const;
 
-  /// Segmented-path boundary update: i is an internal position in
-  /// [bulk_count, n).
+  /// Segmented-path boundary update: i is the internal position of an
+  /// owned boundary point.
   void update_boundary_point(index_t i, const T* g, T* out) const;
 
   const FluidMesh* mesh_;
@@ -207,9 +277,12 @@ class Solver {
   /// Segment-reordered view (segmented path only).
   std::unique_ptr<SegmentedMesh> seg_;
 
-  using StepFn = void (Solver::*)();
-  StepFn step_even_fn_ = nullptr;  ///< AB kernel, or AA even-parity kernel
-  StepFn step_odd_fn_ = nullptr;   ///< AA odd-parity kernel (AB: == even)
+  using PassFn = void (Solver::*)(const Pass&);
+  PassFn pass_even_fn_ = nullptr;  ///< AB kernel, or AA even-parity kernel
+  PassFn pass_odd_fn_ = nullptr;   ///< AA odd-parity kernel (AB: == even)
+
+  /// The interior pass, then the frontier pass.
+  std::array<Pass, 2> passes_;
 
   /// Effective SIMD backend of the bulk tile kernels (kScalar off the
   /// segmented SoA path) and the bound tile functions: the normal-store
@@ -223,27 +296,25 @@ class Solver {
   /// Resolved OpenMP team size (>= 1).
   index_t threads_ = 1;
 
-  /// Span-aligned bulk work blocks: block b covers internal positions
-  /// [block_bounds_[b], block_bounds_[b+1]). Cut only at RLE span
-  /// boundaries so the tile kernels always see whole spans (no artificial
-  /// masked tails at partition seams), sized for L2 residency, and
-  /// assigned to threads statically so the same thread streams the same
-  /// pages every step (first-touch locality; initialize() mirrors the
-  /// partition).
-  std::vector<index_t> block_bounds_;
-
   std::vector<T> f_;   // main array (internal point order)
   std::vector<T> f2_;  // second array (AB only)
 
-  // Per-point boundary targets in internal point order: for kInlet the
-  // imposed velocity; unused otherwise. Stored densely for O(1) access in
-  // the kernels.
+  // Per-point boundary targets of the owned points in internal order: for
+  // kInlet the imposed velocity; unused otherwise. Stored densely for O(1)
+  // access in the kernels.
   std::vector<std::array<T, 3>> bc_velocity_;
   // Per-point pulsatile {amplitude, period}; zero for steady inlets.
   std::vector<std::array<T, 2>> bc_pulse_;
   // tau * body_force, the equilibrium velocity shift of the forcing term.
   std::array<T, 3> force_shift_ = {T{0}, T{0}, T{0}};
 };
+
+/// Position of direction q of point p in an n-point distribution array of
+/// `layout` — the canonical order of Solver::export_state().
+[[nodiscard]] constexpr index_t state_index(Layout layout, index_t n,
+                                            index_t p, index_t q) noexcept {
+  return layout == Layout::kAoS ? p * kQ + q : q * n + p;
+}
 
 /// Convenience: MFLUPS from points, steps, and elapsed seconds (Eq. 7).
 [[nodiscard]] inline real_t mflups(index_t points, index_t steps,

@@ -3,23 +3,18 @@
 #include <algorithm>
 #include <barrier>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
-#include "lbm/point_update.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace hemo::runtime {
 
 using lbm::kQ;
+using lbm::state_index;
 
 namespace {
 
@@ -27,19 +22,6 @@ using Clock = std::chrono::steady_clock;
 
 real_t seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<real_t>(b - a).count();
-}
-
-/// OpenMP team size for code entered from a rank thread. Each rank is
-/// already one thread of the lockstep ensemble; an OpenMP region that
-/// inherited the process-wide default would multiply to ranks x cores.
-/// Pinned to 1 unless HEMO_RANK_THREADS grants more — keep
-/// ranks x HEMO_RANK_THREADS within the physical core count.
-int rank_omp_threads() {
-  if (const char* env = std::getenv("HEMO_RANK_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 1;
 }
 
 }  // namespace
@@ -58,52 +40,41 @@ ParallelSolver::ParallelSolver(const lbm::FluidMesh& mesh,
                                RuntimeOptions options)
     : mesh_(&mesh),
       partition_(partition),
+      params_(params),
+      inlets_(inlets.begin(), inlets.end()),
       options_(std::move(options)),
       controller_(options_.rebalance) {
-  HEMO_REQUIRE(params.kernel.propagation == lbm::Propagation::kAB &&
-                   params.kernel.layout == lbm::Layout::kAoS &&
-                   params.kernel.precision == lbm::Precision::kDouble,
-               "ParallelSolver supports the AB + AoS + double configuration");
-  HEMO_REQUIRE(params.tau > 0.5, "tau must exceed 0.5");
-  bc_velocity_ = lbm::inlet_velocities<double>(mesh, inlets);
-  bc_pulse_ = lbm::inlet_pulse_params<double>(mesh, inlets);
-
-  ctx_.mesh = mesh_;
-  ctx_.omega = 1.0 / params.tau;
-  ctx_.smagorinsky_cs2 = params.smagorinsky_cs * params.smagorinsky_cs;
-  for (std::size_t d = 0; d < 3; ++d) {
-    ctx_.force_shift[d] = params.tau * params.body_force[d];
-  }
-  ctx_.bc_velocity = &bc_velocity_;
-  ctx_.bc_pulse = &bc_pulse_;
-  ctx_.segmented = params.kernel.path == lbm::KernelPath::kSegmented;
-
+  const auto rejected = [&](const char* reason) {
+    return "ParallelSolver does not run " + lbm::kernel_name(params.kernel) +
+           " " + lbm::to_string(params.kernel.precision) + ": " + reason;
+  };
+  HEMO_REQUIRE(params.kernel.propagation == lbm::Propagation::kAB,
+               rejected("the AA odd step scatters into ghost rows, which "
+                        "would need a reverse halo exchange"));
+  HEMO_REQUIRE(params.kernel.precision == lbm::Precision::kDouble,
+               rejected("the halo mailboxes and the canonical export are "
+                        "double"));
+  HEMO_REQUIRE(params.kernel.path == lbm::KernelPath::kSegmented,
+               rejected("the reference path is the serial oracle and its "
+                        "one-loop kernel has no interior/frontier passes"));
+  params_.num_threads = 1;
   build_runtime_structures();
-  for (std::size_t r = 0; r < states_.size(); ++r) {
-    const index_t total = topo_.ranks[r].total_slots();
-    for (index_t s = 0; s < total; ++s) {
-      for (index_t q = 0; q < kQ; ++q) {
-        states_[r].f[static_cast<std::size_t>(s * kQ + q)] =
-            lbm::equilibrium<double>(q, 1.0, 0.0, 0.0, 0.0);
-      }
-    }
-  }
-  timings_.assign(states_.size(), RankTimings{});
-  window_start_busy_.assign(states_.size(), 0.0);
+  timings_.assign(ranks_.size(), RankTimings{});
+  window_start_busy_.assign(ranks_.size(), 0.0);
 }
 
 ParallelSolver::~ParallelSolver() = default;
 
 void ParallelSolver::build_runtime_structures() {
+  ranks_.clear();  // free the old arrays before the new ones are touched
   topo_ = harvey::build_halo_exchange(*mesh_, partition_);
   const std::size_t n_ranks = topo_.ranks.size();
 
-  states_.resize(n_ranks);
-  for (std::size_t r = 0; r < n_ranks; ++r) {
-    const auto total =
-        static_cast<std::size_t>(topo_.ranks[r].total_slots() * kQ);
-    states_[r].f.assign(total, 0.0);
-    states_[r].f2.assign(total, 0.0);
+  ranks_.reserve(n_ranks);
+  for (const harvey::RankLayout& layout : topo_.ranks) {
+    ranks_.emplace_back(*mesh_, params_, std::span(inlets_),
+                        std::span(layout.local_points),
+                        std::span(layout.ghost_points));
   }
 
   mailboxes_.clear();
@@ -129,37 +100,43 @@ void ParallelSolver::build_runtime_structures() {
   }
 }
 
-std::vector<double> ParallelSolver::gather_state() const {
-  std::vector<double> state(
-      static_cast<std::size_t>(mesh_->num_points() * kQ));
-  for (std::size_t r = 0; r < states_.size(); ++r) {
-    const harvey::RankLayout& layout = topo_.ranks[r];
-    for (index_t i = 0; i < layout.num_local(); ++i) {
-      const index_t p = layout.local_points[static_cast<std::size_t>(i)];
+std::vector<double> ParallelSolver::export_state() const {
+  const lbm::Layout layout = params_.kernel.layout;
+  const index_t n = mesh_->num_points();
+  std::vector<double> state(static_cast<std::size_t>(n * kQ));
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const harvey::RankLayout& rank = topo_.ranks[r];
+    const index_t slots = rank.total_slots();
+    const std::vector<double> local = ranks_[r].export_state();
+    for (index_t s = 0; s < rank.num_local(); ++s) {
+      const index_t p = rank.point(s);
       for (index_t q = 0; q < kQ; ++q) {
-        state[static_cast<std::size_t>(p * kQ + q)] =
-            states_[r].f[static_cast<std::size_t>(i * kQ + q)];
+        state[static_cast<std::size_t>(state_index(layout, n, p, q))] =
+            local[static_cast<std::size_t>(state_index(layout, slots, s, q))];
       }
     }
   }
   return state;
 }
 
-void ParallelSolver::scatter_state(std::span<const double> state) {
-  for (std::size_t r = 0; r < states_.size(); ++r) {
-    const harvey::RankLayout& layout = topo_.ranks[r];
-    for (index_t i = 0; i < layout.num_local(); ++i) {
-      const index_t p = layout.local_points[static_cast<std::size_t>(i)];
+void ParallelSolver::scatter_state(std::span<const double> state,
+                                   index_t timestep) {
+  const lbm::Layout layout = params_.kernel.layout;
+  const index_t n = mesh_->num_points();
+  std::vector<double> local;
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const harvey::RankLayout& rank = topo_.ranks[r];
+    const index_t slots = rank.total_slots();
+    local.assign(static_cast<std::size_t>(slots * kQ), 0.0);
+    for (index_t s = 0; s < slots; ++s) {
+      const index_t p = rank.point(s);
       for (index_t q = 0; q < kQ; ++q) {
-        states_[r].f[static_cast<std::size_t>(i * kQ + q)] =
-            state[static_cast<std::size_t>(p * kQ + q)];
+        local[static_cast<std::size_t>(state_index(layout, slots, s, q))] =
+            state[static_cast<std::size_t>(state_index(layout, n, p, q))];
       }
     }
+    ranks_[r].restore_state(local, timestep);
   }
-}
-
-std::vector<double> ParallelSolver::export_state() const {
-  return gather_state();
 }
 
 void ParallelSolver::restore_state(std::span<const double> state,
@@ -168,7 +145,7 @@ void ParallelSolver::restore_state(std::span<const double> state,
                    mesh_->num_points() * kQ,
                "restore_state: state size must be num_points * kQ");
   HEMO_REQUIRE(timestep >= 0, "restore_state: negative timestep");
-  scatter_state(state);
+  scatter_state(state, timestep);
   timestep_ = timestep;
   for (auto& box : mailboxes_) {
     box->seq.store(timestep_, std::memory_order_relaxed);
@@ -176,8 +153,7 @@ void ParallelSolver::restore_state(std::span<const double> state,
 }
 
 void ParallelSolver::rank_step(std::size_t r, index_t t) {
-  RankState& rank = states_[r];
-  const harvey::RankLayout& layout = topo_.ranks[r];
+  lbm::Solver<double>& solver = ranks_[r];
   RankTimings& timing = timings_[r];
 
   const auto t0 = Clock::now();
@@ -185,20 +161,19 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
     const obs::PhaseScope phase("pack");
     for (const index_t c : out_channels_[r]) {
       Mailbox& box = *mailboxes_[static_cast<std::size_t>(c)];
-      harvey::pack_channel(
-          topo_.channels[static_cast<std::size_t>(box.channel)], rank.f,
+      solver.copy_rows_out(
+          topo_.channels[static_cast<std::size_t>(box.channel)].src_slots,
           box.buffer);
       box.seq.store(t + 1, std::memory_order_release);
     }
   }
   const auto t1 = Clock::now();
 
-  // Interior overlap window: no slot here gathers from a ghost row, so
+  // Interior overlap window: no point here gathers from a ghost row, so
   // this compute proceeds while neighbor ranks are still publishing.
   {
     const obs::PhaseScope phase("interior");
-    harvey::update_rank_slots(ctx_, layout, layout.interior_slots, t,
-                              rank.f.data(), rank.f2.data());
+    solver.interior_pass();
   }
   const auto t2 = Clock::now();
 
@@ -215,9 +190,9 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
     const auto w1 = Clock::now();
     {
       const obs::PhaseScope phase("unpack");
-      harvey::unpack_channel(
-          topo_.channels[static_cast<std::size_t>(box.channel)], box.buffer,
-          rank.f);
+      solver.copy_rows_in(
+          topo_.channels[static_cast<std::size_t>(box.channel)].dst_slots,
+          box.buffer);
     }
     const auto w2 = Clock::now();
     wait_s += seconds_between(w0, w1);
@@ -227,14 +202,13 @@ void ParallelSolver::rank_step(std::size_t r, index_t t) {
 
   {
     const obs::PhaseScope phase("frontier");
-    harvey::update_rank_slots(ctx_, layout, layout.frontier_slots, t,
-                              rank.f.data(), rank.f2.data());
+    solver.frontier_pass();
   }
   const auto t4 = Clock::now();
 
   {
     const obs::PhaseScope phase("swap");
-    rank.f.swap(rank.f2);
+    solver.end_step();
   }
 
   ++timing.steps;
@@ -250,22 +224,22 @@ void ParallelSolver::on_epoch() noexcept {
   if (window_steps_ < options_.rebalance.window) return;
   window_steps_ = 0;
 
-  std::vector<real_t> window_busy(states_.size(), 0.0);
-  for (std::size_t r = 0; r < states_.size(); ++r) {
+  std::vector<real_t> window_busy(ranks_.size(), 0.0);
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
     window_busy[r] = timings_[r].busy_s() - window_start_busy_[r];
     window_start_busy_[r] = timings_[r].busy_s();
   }
 
   auto& registry = obs::MetricsRegistry::global();
   real_t max_busy = 0.0, sum_busy = 0.0;
-  for (std::size_t r = 0; r < states_.size(); ++r) {
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
     registry.observe("runtime_window_busy_seconds", window_busy[r],
                      {{"workload", options_.workload},
                       {"rank", std::to_string(r)}});
     max_busy = std::max(max_busy, window_busy[r]);
     sum_busy += window_busy[r];
   }
-  const real_t mean_busy = sum_busy / static_cast<real_t>(states_.size());
+  const real_t mean_busy = sum_busy / static_cast<real_t>(ranks_.size());
   registry.set("runtime_measured_imbalance",
                mean_busy > 0.0 ? max_busy / mean_busy : 1.0,
                {{"workload", options_.workload}});
@@ -285,11 +259,11 @@ void ParallelSolver::on_epoch() noexcept {
 }
 
 void ParallelSolver::apply_migration(const MigrationPlan& plan) {
-  const std::vector<double> state = gather_state();
+  const std::vector<double> state = export_state();
   partition_ = decomp::migrate_block(partition_, plan.from, plan.to,
                                      plan.count);
   build_runtime_structures();
-  scatter_state(state);
+  scatter_state(state, timestep_);
   ++rebalance_count_;
 }
 
@@ -301,7 +275,7 @@ void ParallelSolver::request_migration(std::int32_t from, std::int32_t to,
 void ParallelSolver::run(index_t n) {
   HEMO_REQUIRE(n >= 0, "negative step count");
   if (n == 0) return;
-  const auto n_ranks = static_cast<std::ptrdiff_t>(states_.size());
+  const auto n_ranks = static_cast<std::ptrdiff_t>(ranks_.size());
   // The completion step runs while every rank thread is parked inside the
   // barrier, which is the happens-before edge the shared-state writes in
   // on_epoch() rely on (DESIGN.md §13).
@@ -315,15 +289,13 @@ void ParallelSolver::run(index_t n) {
 
   const index_t t0 = timestep_;
   std::vector<std::jthread> threads;
-  threads.reserve(states_.size());
-  for (std::size_t r = 0; r < states_.size(); ++r) {
+  threads.reserve(static_cast<std::size_t>(n_ranks));
+  // The loop bound is the local count, not ranks_.size(): once the last
+  // rank starts, a migration in the completion step may rebuild ranks_
+  // while this thread is still in the loop.
+  for (std::size_t r = 0; r < static_cast<std::size_t>(n_ranks); ++r) {
     threads.emplace_back([this, r, t0, n, &sync] {
       obs::set_thread_label("rank" + std::to_string(r));
-#ifdef _OPENMP
-      // Thread-local in the OpenMP runtime: bounds any OpenMP region this
-      // rank enters without touching other ranks or the main thread.
-      omp_set_num_threads(rank_omp_threads());
-#endif
       for (index_t s = 0; s < n; ++s) {
         // timestep_ is written only by the barrier completion step, which
         // happens-before every thread's release from the wait — reading it
@@ -339,25 +311,25 @@ void ParallelSolver::run(index_t n) {
 lbm::Moments<real_t> ParallelSolver::moments_at(index_t global_point) const {
   HEMO_REQUIRE(global_point >= 0 && global_point < mesh_->num_points(),
                "point index out of range");
-  const RankState& rank = states_[static_cast<std::size_t>(
-      topo_.owner_task[static_cast<std::size_t>(global_point)])];
-  const index_t s = static_cast<index_t>(
-      topo_.owner_slot[static_cast<std::size_t>(global_point)]);
-  std::array<double, kQ> g;
-  for (index_t q = 0; q < kQ; ++q) {
-    g[static_cast<std::size_t>(q)] =
-        rank.f[static_cast<std::size_t>(s * kQ + q)];
-  }
-  const auto m = lbm::moments<double>(std::span<const double, kQ>(g));
-  return lbm::Moments<real_t>{m.rho, m.ux, m.uy, m.uz};
+  const auto g = static_cast<std::size_t>(global_point);
+  return ranks_[static_cast<std::size_t>(topo_.owner_task[g])].moments_at(
+      topo_.owner_slot[g]);
 }
 
 real_t ParallelSolver::total_mass() const {
+  // Rank by rank, owned slot by slot, direction by direction: a fixed
+  // order for a given partition.
+  const lbm::Layout layout = params_.kernel.layout;
   real_t mass = 0.0;
-  for (std::size_t r = 0; r < states_.size(); ++r) {
-    const index_t nl = topo_.ranks[r].num_local();
-    for (index_t i = 0; i < nl * kQ; ++i) {
-      mass += states_[r].f[static_cast<std::size_t>(i)];
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const harvey::RankLayout& rank = topo_.ranks[r];
+    const index_t slots = rank.total_slots();
+    const std::vector<double> local = ranks_[r].export_state();
+    for (index_t s = 0; s < rank.num_local(); ++s) {
+      for (index_t q = 0; q < kQ; ++q) {
+        mass += local[static_cast<std::size_t>(
+            state_index(layout, slots, s, q))];
+      }
     }
   }
   return mass;

@@ -1,21 +1,24 @@
 // Threaded-rank parallel LBM execution with real halo messaging.
 //
 // Each partition task becomes a *rank*: a dedicated std::thread owning a
-// private distribution array (local points + ghost rows) that no other
-// thread ever writes. Ranks exchange halos through mailboxes — one per
-// directed halo channel, owned send buffer, epoch-stamped with an atomic
-// sequence number — so communication is real message passing: the owner
-// packs into the buffer and release-publishes the epoch, the receiver
-// acquire-spins until the stamp arrives and unpacks into its ghost rows.
-// No rank ever peeks into a neighbor's distribution array.
+// rank-local lbm::Solver<double> over its owned points plus ghost rows
+// (lbm::SegmentedMesh's rank build), which no other thread ever writes.
+// Ranks exchange halos through mailboxes — one per directed halo channel,
+// owned send buffer, epoch-stamped with an atomic sequence number — so
+// communication is real message passing: the owner packs into the buffer
+// and release-publishes the epoch, the receiver acquire-spins until the
+// stamp arrives and unpacks into its ghost rows. No rank ever peeks into
+// a neighbor's distribution array.
 //
-// A step overlaps bulk-interior compute with boundary communication
-// (HARVEY's overlap scheme, Sec. II of the paper):
-//   1. pack + publish all outgoing channels        (t_comm: pack)
-//   2. update interior slots — no ghosts needed    (t_mem)
-//   3. await + unpack all incoming channels        (t_comm: wait + unpack)
-//   4. update frontier slots — ghosts now fresh    (t_mem)
-//   5. swap front/back arrays, barrier arrive
+// A step overlaps interior compute with boundary communication (HARVEY's
+// overlap scheme, Sec. II of the paper), all through the serial solver's
+// own kernels:
+//   1. pack + publish all outgoing channels   (t_comm: pack; copy_rows_out)
+//   2. Solver::interior_pass — no ghosts read  (t_mem)
+//   3. await + unpack all incoming channels   (t_comm: wait + unpack;
+//                                              copy_rows_in)
+//   4. Solver::frontier_pass — ghosts fresh    (t_mem)
+//   5. Solver::end_step (swap), barrier arrive
 // Ranks run in lockstep: a std::barrier ends every step, and its
 // completion step (running while every rank thread is quiescent) advances
 // the shared timestep, flushes per-window timings into obs::, and applies
@@ -31,29 +34,28 @@
 // measured STREAM bandwidth, Eq. 12 per-message times).
 //
 // Ranks x OpenMP threads: the rank ensemble is the process's parallelism
-// — every rank thread pins its OpenMP team to 1 at entry so an OpenMP
-// region reached from rank code (the lbm::Solver kernels are
-// OpenMP-parallel) cannot silently multiply to ranks x cores. Set
-// HEMO_RANK_THREADS=k to grant each rank a k-thread team; keep
-// ranks x k within the physical core count. The main thread is not
-// affected — a serial lbm::Solver in the same process keeps the global
-// default (or its SolverParams::num_threads).
+// — every rank's solver is built with SolverParams::num_threads = 1, so
+// its kernels' OpenMP regions run a team of one whatever the process
+// default. A serial lbm::Solver in the same process keeps its own
+// SolverParams::num_threads.
 //
 // Dynamic rebalancing: when measured busy-time imbalance (max/mean) stays
 // above threshold for `patience` windows, a contiguous canonical-order
 // block migrates from the hottest rank to its coolest channel neighbor
 // (decomp::migrate_block). Migration gathers the canonical state, rebuilds
-// partition/topology/mailboxes, and scatters the state back — bit-identical
-// to a run that never migrated, which the tier-1 tests assert exactly.
+// partition/topology/rank solvers/mailboxes, and scatters the state back —
+// bit-identical to a run that never migrated, which the tier-1 tests
+// assert exactly.
 //
-// Supported configuration: AB + AoS + double, reference or segmented
-// kernel path (the segmented path takes the branch-free bulk fast path on
-// local partitions). All arithmetic goes through lbm/point_update.hpp, so
-// the result is bit-identical to the serial lbm::Solver for every rank
-// count.
+// Supported configurations: AB + {AoS, SoA} + double on the segmented
+// kernel path, any SIMD backend. Rejected: AA (its odd step scatters into
+// ghost rows, which would need a reverse exchange), single precision (the
+// mailboxes and the canonical export are double) and KernelPath::
+// kReference (the serial reference solver is the oracle; its one-loop
+// kernel has no interior/frontier passes). The result is bit-identical to
+// the serial lbm::Solver<double> for every rank count.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -98,8 +100,9 @@ struct RuntimeOptions {
 class ParallelSolver {
  public:
   /// The mesh must outlive the solver; the partition is copied (it evolves
-  /// under dynamic rebalancing). `params.kernel` must be AB + AoS + double
-  /// (either kernel path).
+  /// under dynamic rebalancing). `params.kernel` must be AB + double on
+  /// the segmented path (either layout, any backend); num_threads is
+  /// ignored — every rank runs one thread.
   ParallelSolver(const lbm::FluidMesh& mesh,
                  const decomp::Partition& partition,
                  const lbm::SolverParams& params,
@@ -116,7 +119,7 @@ class ParallelSolver {
 
   [[nodiscard]] index_t timestep() const noexcept { return timestep_; }
   [[nodiscard]] index_t n_ranks() const noexcept {
-    return static_cast<index_t>(states_.size());
+    return static_cast<index_t>(ranks_.size());
   }
 
   /// Moments at a *global* point index, for comparison with lbm::Solver.
@@ -125,8 +128,9 @@ class ParallelSolver {
   /// Total mass across all ranks.
   [[nodiscard]] real_t total_mass() const;
 
-  /// Distribution state in canonical order (original mesh point indices,
-  /// AoS) — directly comparable to lbm::Solver<double>::export_state().
+  /// Distribution state in canonical order (original mesh point indices
+  /// under the configured layout) — directly comparable to
+  /// lbm::Solver<double>::export_state().
   [[nodiscard]] std::vector<double> export_state() const;
 
   /// Restores a canonical-order state and timestep.
@@ -163,11 +167,6 @@ class ParallelSolver {
  private:
   friend struct EpochCallback;
 
-  /// One rank's private distribution arrays, (owned + ghosts) * kQ, AoS.
-  struct RankState {
-    std::vector<double> f, f2;
-  };
-
   /// One directed halo message: owner-packed buffer plus the epoch stamp
   /// the receiver spins on. Heap-allocated (atomics are immovable).
   /// The stamp is the runtime's one lock-free handshake: the owner packs
@@ -180,13 +179,13 @@ class ParallelSolver {
     std::atomic<index_t> seq{0};  // atomic-ok(release-publish/acquire-spin)
   };
 
-  /// (Re)builds topology, mailboxes, channel maps, and rank arrays from
-  /// partition_; distribution values are left uninitialized.
+  /// (Re)builds topology, rank solvers (at rest equilibrium, timestep 0),
+  /// mailboxes and channel maps from partition_.
   void build_runtime_structures();
 
-  /// Canonical-order gather / scatter of all ranks' owned rows.
-  [[nodiscard]] std::vector<double> gather_state() const;
-  void scatter_state(std::span<const double> state);
+  /// Canonical-order scatter of owned and ghost rows into every rank,
+  /// setting each to `timestep` (the inverse of export_state()).
+  void scatter_state(std::span<const double> state, index_t timestep);
 
   /// One rank's step t (phases 1-5 above, minus the barrier).
   void rank_step(std::size_t r, index_t t);
@@ -202,18 +201,16 @@ class ParallelSolver {
 
   const lbm::FluidMesh* mesh_;
   decomp::Partition partition_;
+  lbm::SolverParams params_;  ///< rank solvers' parameters (1 thread)
+  std::vector<geometry::InletSpec> inlets_;
   index_t timestep_ = 0;
 
   harvey::HaloExchange topo_;
-  std::vector<RankState> states_;
+  std::vector<lbm::Solver<double>> ranks_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::vector<index_t>> out_channels_;  ///< per rank
   std::vector<std::vector<index_t>> in_channels_;   ///< per rank
   std::vector<std::vector<std::int32_t>> neighbors_of_;  ///< per rank
-
-  harvey::RankStepContext ctx_;
-  std::vector<std::array<double, 3>> bc_velocity_;
-  std::vector<std::array<double, 2>> bc_pulse_;
 
   RuntimeOptions options_;
   RebalanceController controller_;

@@ -1,12 +1,13 @@
 // Integration tests for the HARVEY-equivalent: the simulation driver and,
-// critically, the distributed halo-exchange solver against the serial one.
+// critically, distributed halo-exchange stepping (runtime::ParallelSolver)
+// against the serial solver.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "decomp/comm_graph.hpp"
-#include "harvey/distributed.hpp"
 #include "harvey/simulation.hpp"
+#include "runtime/parallel_solver.hpp"
 
 namespace hemo::harvey {
 namespace {
@@ -51,7 +52,7 @@ class DistributedEquivalence
 
 TEST_P(DistributedEquivalence, MatchesSerialSolverBitwise) {
   // The decisive correctness test for the halo-exchange semantics the
-  // performance models count: a distributed run over per-task arrays with
+  // performance models count: a distributed run over per-rank arrays with
   // ghost exchange must reproduce the serial solver exactly.
   const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
@@ -60,7 +61,7 @@ TEST_P(DistributedEquivalence, MatchesSerialSolverBitwise) {
 
   lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
   const auto part = decomp::make_partition(mesh, 7, GetParam());
-  DistributedSolver dist(mesh, part, params, std::span(geo.inlets));
+  runtime::ParallelSolver dist(mesh, part, params, std::span(geo.inlets));
 
   serial.run(60);
   dist.run(60);
@@ -72,6 +73,7 @@ TEST_P(DistributedEquivalence, MatchesSerialSolverBitwise) {
     ASSERT_DOUBLE_EQ(ms.uz, md.uz) << "point " << p;
   }
   EXPECT_NEAR(serial.total_mass(), dist.total_mass(), 1e-9);
+  EXPECT_EQ(dist.export_state(), serial.export_state());
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, DistributedEquivalence,
@@ -82,12 +84,14 @@ INSTANTIATE_TEST_SUITE_P(Strategies, DistributedEquivalence,
                            return std::string(decomp::to_string(info.param));
                          });
 
+// The distributed halo-exchange solver is runtime::ParallelSolver; these
+// keep its structural and precondition checks next to the equivalence test.
 TEST(DistributedSolver, GhostsMatchCommGraphStructure) {
   const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
   const auto part = decomp::make_partition(mesh, 5, decomp::Strategy::kRcb);
   lbm::SolverParams params;
-  DistributedSolver dist(mesh, part, params, std::span(geo.inlets));
+  runtime::ParallelSolver dist(mesh, part, params, std::span(geo.inlets));
   const auto graph = decomp::build_comm_graph(mesh, part);
   // Every communicated link corresponds to a ghost point; ghosts
   // deduplicate links that share an upstream point, so ghosts <= links.
@@ -103,8 +107,9 @@ TEST(DistributedSolver, RejectsUnsupportedKernels) {
   const auto part = decomp::make_partition(mesh, 2, decomp::Strategy::kRcb);
   lbm::SolverParams params;
   params.kernel.propagation = lbm::Propagation::kAA;
-  EXPECT_THROW(DistributedSolver(mesh, part, params, std::span(geo.inlets)),
-               PreconditionError);
+  EXPECT_THROW(
+      runtime::ParallelSolver(mesh, part, params, std::span(geo.inlets)),
+      PreconditionError);
 }
 
 TEST(Simulation, GeometryEffectsMatchPaperOrdering) {

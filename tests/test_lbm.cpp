@@ -8,6 +8,7 @@
 #include "lbm/access_counts.hpp"
 #include "lbm/lattice.hpp"
 #include "lbm/mesh.hpp"
+#include "lbm/mesh_segments.hpp"
 #include "util/rng.hpp"
 
 namespace hemo::lbm {
@@ -170,6 +171,37 @@ TEST(FluidMesh, PlaneWindowMatchesDenseMapOnThinPeriodicGrids) {
           "nz=" + std::to_string(nz) + " periodic=" + std::to_string(axes));
     }
   }
+}
+
+TEST(SegmentedMeshRankBuild, WithoutGhostsEqualsWholeMeshBuild) {
+  // The whole-mesh build is the rank build with every point owned and no
+  // ghosts: same order, neighbors, spans, census and an empty frontier.
+  const auto geo = geometry::make_cylinder({.radius = 6, .length = 30});
+  const FluidMesh mesh = FluidMesh::build(geo.grid);
+  std::vector<index_t> all(static_cast<std::size_t>(mesh.num_points()));
+  std::iota(all.begin(), all.end(), index_t{0});
+  const SegmentedMesh whole = SegmentedMesh::build(mesh);
+  const SegmentedMesh rank = SegmentedMesh::build(mesh, all, {});
+  ASSERT_EQ(rank.num_points(), whole.num_points());
+  EXPECT_EQ(rank.num_owned(), whole.num_points());
+  EXPECT_EQ(whole.frontier().begin, whole.frontier().end);
+  EXPECT_EQ(whole.interior().bulk_end, whole.bulk_count());
+  EXPECT_EQ(rank.interior().bulk_end, whole.interior().bulk_end);
+  EXPECT_EQ(rank.interior().end, whole.interior().end);
+  for (index_t i = 0; i < whole.num_points(); ++i) {
+    ASSERT_EQ(rank.point_at(i), whole.point_at(i));
+    for (index_t q = 0; q < kQ; ++q) {
+      ASSERT_EQ(rank.neighbor(i, q), whole.neighbor(i, q));
+    }
+  }
+  ASSERT_EQ(rank.spans().size(), whole.spans().size());
+  for (std::size_t k = 0; k < whole.spans().size(); ++k) {
+    EXPECT_EQ(rank.spans()[k].begin, whole.spans()[k].begin);
+    EXPECT_EQ(rank.spans()[k].length, whole.spans()[k].length);
+    EXPECT_EQ(rank.spans()[k].offsets, whole.spans()[k].offsets);
+  }
+  EXPECT_EQ(rank.counts().bulk_edge, whole.counts().bulk_edge);
+  EXPECT_EQ(rank.counts().wall, whole.counts().wall);
 }
 
 TEST(AccessCounts, AaTrafficsLessThanAb) {

@@ -9,7 +9,8 @@
 #include <tuple>
 
 #include "decomp/comm_graph.hpp"
-#include "harvey/distributed.hpp"
+#include "lbm/mesh_segments.hpp"
+#include "lbm/simd.hpp"
 #include "runtime/parallel_solver.hpp"
 #include "runtime/rebalance.hpp"
 #include "runtime/validation.hpp"
@@ -194,31 +195,42 @@ TEST(ParallelSolver, RestoreStateRoundTripsThroughSerialCheckpoint) {
   EXPECT_EQ(parallel.export_state(), serial.export_state());
 }
 
-TEST(ParallelSolver, MomentsAndMassAgreeWithDistributedSolver) {
-  // The serial-exchange DistributedSolver and the threaded runtime share
-  // the halo layer; their observables must agree exactly.
+TEST(ParallelSolver, MomentsAndMassAgreeWithSerialSolver) {
+  // Observables read through the rank solvers must agree exactly with the
+  // serial solver's; the mass is summed rank by rank, owned point by owned
+  // point, direction by direction.
   const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
   const auto params = base_params();
   const auto part = decomp::make_partition(mesh, 5, decomp::Strategy::kRcb);
-  harvey::DistributedSolver dist(mesh, part, params, std::span(geo.inlets));
+  lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
   ParallelSolver parallel(mesh, part, params, std::span(geo.inlets));
-  dist.run(30);
+  serial.run(30);
   parallel.run(30);
   for (index_t p = 0; p < mesh.num_points(); ++p) {
-    const auto md = dist.moments_at(p);
+    const auto ms = serial.moments_at(p);
     const auto mp = parallel.moments_at(p);
-    ASSERT_DOUBLE_EQ(md.rho, mp.rho) << "point " << p;
-    ASSERT_DOUBLE_EQ(md.ux, mp.ux) << "point " << p;
-    ASSERT_DOUBLE_EQ(md.uy, mp.uy) << "point " << p;
-    ASSERT_DOUBLE_EQ(md.uz, mp.uz) << "point " << p;
+    ASSERT_DOUBLE_EQ(ms.rho, mp.rho) << "point " << p;
+    ASSERT_DOUBLE_EQ(ms.ux, mp.ux) << "point " << p;
+    ASSERT_DOUBLE_EQ(ms.uy, mp.uy) << "point " << p;
+    ASSERT_DOUBLE_EQ(ms.uz, mp.uz) << "point " << p;
   }
-  EXPECT_DOUBLE_EQ(dist.total_mass(), parallel.total_mass());
+  const auto state = serial.export_state();
+  real_t rank_order_mass = 0.0;
+  for (const auto& points : part.points_of) {
+    for (const index_t p : points) {
+      for (index_t q = 0; q < lbm::kQ; ++q) {
+        rank_order_mass += state[static_cast<std::size_t>(p * lbm::kQ + q)];
+      }
+    }
+  }
+  EXPECT_DOUBLE_EQ(rank_order_mass, parallel.total_mass());
+  EXPECT_NEAR(serial.total_mass(), parallel.total_mass(), 1e-9);
 }
 
 TEST(ParallelSolver, KernelPathsAreBitIdentical) {
-  // Satellite of the DistributedSolver lift: the segmented local-partition
-  // path must equal the reference path and the serial solver exactly.
+  // Ranks step through the serial segmented kernels; the result must equal
+  // the serial segmented solver and the reference-path oracle exactly.
   const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
   auto reference = base_params();
@@ -227,62 +239,95 @@ TEST(ParallelSolver, KernelPathsAreBitIdentical) {
   segmented.kernel.path = lbm::KernelPath::kSegmented;
   const auto part = decomp::make_partition(mesh, 4, decomp::Strategy::kRcb);
 
-  ParallelSolver ref_solver(mesh, part, reference, std::span(geo.inlets));
   ParallelSolver seg_solver(mesh, part, segmented, std::span(geo.inlets));
-  harvey::DistributedSolver dist_ref(mesh, part, reference,
-                                     std::span(geo.inlets));
+  lbm::Solver<double> serial_ref(mesh, reference, std::span(geo.inlets));
   lbm::Solver<double> serial(mesh, segmented, std::span(geo.inlets));
-  ref_solver.run(30);
   seg_solver.run(30);
-  dist_ref.run(30);
+  serial_ref.run(30);
   serial.run(30);
 
-  const auto expected = serial.export_state();
-  EXPECT_EQ(ref_solver.export_state(), expected);
+  const auto expected = serial_ref.export_state();
+  EXPECT_EQ(serial.export_state(), expected);
   EXPECT_EQ(seg_solver.export_state(), expected);
   for (index_t p = 0; p < mesh.num_points(); p += 97) {
-    const auto ms = serial.moments_at(p);
-    const auto md = dist_ref.moments_at(p);
-    ASSERT_DOUBLE_EQ(ms.rho, md.rho) << "point " << p;
-    ASSERT_DOUBLE_EQ(ms.uz, md.uz) << "point " << p;
+    const auto ms = serial_ref.moments_at(p);
+    const auto mp = seg_solver.moments_at(p);
+    ASSERT_DOUBLE_EQ(ms.rho, mp.rho) << "point " << p;
+    ASSERT_DOUBLE_EQ(ms.uz, mp.uz) << "point " << p;
   }
 }
 
 TEST(ParallelSolver, TopologyMatchesCommGraphStructure) {
   const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
-  const auto part = decomp::make_partition(mesh, 6, decomp::Strategy::kRcb);
-  ParallelSolver parallel(mesh, part, base_params(), std::span(geo.inlets));
+  for (const index_t n_ranks : {5, 6}) {
+    SCOPED_TRACE(n_ranks);
+    const auto part =
+        decomp::make_partition(mesh, n_ranks, decomp::Strategy::kRcb);
+    ParallelSolver parallel(mesh, part, base_params(), std::span(geo.inlets));
 
-  const auto graph = decomp::build_comm_graph(mesh, part);
-  // One mailbox per directed message of the communication graph.
-  EXPECT_EQ(parallel.channel_count(),
-            static_cast<index_t>(graph.messages.size()));
-  // Ghosts deduplicate links sharing an upstream point.
-  index_t total_links = 0;
-  for (const auto& m : graph.messages) total_links += m.link_count;
-  EXPECT_GT(parallel.ghost_count(), 0);
-  EXPECT_LE(parallel.ghost_count(), total_links);
-  EXPECT_GT(parallel.bytes_per_exchange(), 0.0);
+    const auto graph = decomp::build_comm_graph(mesh, part);
+    // One mailbox per directed message of the communication graph.
+    EXPECT_EQ(parallel.channel_count(),
+              static_cast<index_t>(graph.messages.size()));
+    // Every communicated link corresponds to a ghost point; ghosts
+    // deduplicate links that share an upstream point, so ghosts <= links.
+    index_t total_links = 0;
+    for (const auto& m : graph.messages) total_links += m.link_count;
+    EXPECT_GT(parallel.ghost_count(), 0);
+    EXPECT_LE(parallel.ghost_count(), total_links);
+    EXPECT_GT(parallel.bytes_per_exchange(), 0.0);
+  }
 }
 
 TEST(ParallelSolver, InteriorAndFrontierPartitionOwnedSlots) {
+  // Every rank's segmented mesh: positions run [interior | frontier |
+  // ghosts]; no interior position reads a ghost, every frontier position
+  // reads one, and no RLE span straddles a pass boundary.
   const auto geo = geometry::make_cylinder({.radius = 5, .length = 24});
   const auto mesh = lbm::FluidMesh::build(geo.grid);
   const auto part = decomp::make_partition(mesh, 4, decomp::Strategy::kRcb);
   const auto topo = harvey::build_halo_exchange(mesh, part);
   for (const auto& rank : topo.ranks) {
-    EXPECT_EQ(static_cast<index_t>(rank.interior_slots.size() +
-                                   rank.frontier_slots.size()),
-              rank.num_local());
-    // Interior slots never gather from a ghost row.
-    for (const index_t i : rank.interior_slots) {
+    const auto seg = lbm::SegmentedMesh::build(mesh, rank.local_points,
+                                               rank.ghost_points);
+    const lbm::SegmentPass& interior = seg.interior();
+    const lbm::SegmentPass& frontier = seg.frontier();
+    ASSERT_EQ(seg.num_points(), rank.total_slots());
+    EXPECT_EQ(seg.num_owned(), rank.num_local());
+    EXPECT_EQ(interior.begin, 0);
+    EXPECT_LE(interior.bulk_end, interior.end);
+    EXPECT_EQ(frontier.begin, interior.end);
+    EXPECT_LE(frontier.bulk_end, frontier.end);
+    EXPECT_EQ(frontier.end, rank.num_local());
+    EXPECT_GT(interior.end - interior.begin, 0);
+    EXPECT_GT(frontier.end - frontier.begin, 0);
+    // Passes plus ghosts partition the positions; ghosts keep their slots.
+    for (index_t i = seg.num_owned(); i < seg.num_points(); ++i) {
+      EXPECT_EQ(seg.point_at(i), i);
+    }
+    const auto reads_ghost = [&](index_t i) {
       for (index_t q = 0; q < lbm::kQ; ++q) {
-        const auto nb =
-            rank.neighbors[static_cast<std::size_t>(i * lbm::kQ + q)];
-        EXPECT_TRUE(nb == lbm::kSolidLink ||
-                    static_cast<index_t>(nb) < rank.num_local());
+        const auto nb = seg.neighbor(i, q);
+        if (nb != lbm::kSolidLink && nb >= seg.num_owned()) return true;
       }
+      return false;
+    };
+    for (index_t i = interior.begin; i < interior.end; ++i) {
+      EXPECT_FALSE(reads_ghost(i)) << "interior position " << i;
+      EXPECT_LT(seg.point_at(i), rank.num_local());
+    }
+    for (index_t i = frontier.begin; i < frontier.end; ++i) {
+      EXPECT_TRUE(reads_ghost(i)) << "frontier position " << i;
+      EXPECT_LT(seg.point_at(i), rank.num_local());
+    }
+    for (const auto& span : seg.spans()) {
+      const index_t last = span.begin + span.length - 1;
+      const bool in_interior =
+          span.begin >= interior.begin && last < interior.bulk_end;
+      const bool in_frontier =
+          span.begin >= frontier.begin && last < frontier.bulk_end;
+      EXPECT_TRUE(in_interior || in_frontier) << "span at " << span.begin;
     }
   }
 }
@@ -299,6 +344,145 @@ TEST(ParallelSolver, RejectsUnsupportedConfigurations) {
   single.kernel.precision = lbm::Precision::kSingle;
   EXPECT_THROW(ParallelSolver(mesh, part, single, std::span(geo.inlets)),
                PreconditionError);
+  auto reference = base_params();
+  reference.kernel.path = lbm::KernelPath::kReference;
+  EXPECT_THROW(ParallelSolver(mesh, part, reference, std::span(geo.inlets)),
+               PreconditionError);
+
+  // SoA is supported: it constructs, runs, and matches the serial solver.
+  auto soa = base_params();
+  soa.kernel.layout = lbm::Layout::kSoA;
+  ParallelSolver parallel(mesh, part, soa, std::span(geo.inlets));
+  lbm::Solver<double> serial(mesh, soa, std::span(geo.inlets));
+  parallel.run(10);
+  serial.run(10);
+  EXPECT_EQ(parallel.export_state(), serial.export_state());
+}
+
+TEST(ParallelSolver, MatchesSerialAcrossLayoutsBackendsRanksAndPhysics) {
+  // The bit-identity matrix: {AoS, SoA} x every compiled-and-detected
+  // backend x ranks {1, 2, 4} x {plain, LES, pulsatile}.
+  const auto geo = geometry::make_cylinder({.radius = 4, .length = 16});
+  const auto mesh = lbm::FluidMesh::build(geo.grid);
+  auto pulsed = geo.inlets;
+  for (auto& inlet : pulsed) {
+    inlet.pulse_amplitude = 0.4;
+    inlet.pulse_period = 15.0;
+  }
+  for (const std::string physics : {"plain", "les", "pulsatile"}) {
+    auto params = base_params();
+    if (physics == "les") params.smagorinsky_cs = 0.12;
+    const std::span<const geometry::InletSpec> inlets =
+        physics == "pulsatile" ? std::span(pulsed) : std::span(geo.inlets);
+    for (const auto layout : {lbm::Layout::kAoS, lbm::Layout::kSoA}) {
+      for (const auto backend : lbm::simd::detected_backends()) {
+        params.kernel.layout = layout;
+        params.kernel.backend = backend;
+        lbm::Solver<double> serial(mesh, params, inlets);
+        serial.run(20);
+        const auto expected = serial.export_state();
+        for (const index_t n_ranks : {1, 2, 4}) {
+          SCOPED_TRACE(physics + " " + lbm::to_string(layout) + " " +
+                       lbm::to_string(backend) + " ranks " +
+                       std::to_string(n_ranks));
+          ParallelSolver parallel(
+              mesh,
+              decomp::make_partition(mesh, n_ranks, decomp::Strategy::kRcb),
+              params, inlets);
+          parallel.run(20);
+          EXPECT_EQ(parallel.export_state(), expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelSolver, MigrationsAndRestoreStayBitIdenticalOnEveryBackend) {
+  // {AoS, SoA} x every detected backend x ranks {1, 2, 4, 8}: a
+  // hair-trigger rebalance controller plus a requested migration, then a
+  // fresh instance restored from a serial checkpoint, all equal to the
+  // serial solver. Pulsatile inlets make every rebuilt or restored rank
+  // depend on resuming at the right timestep.
+  auto geo = geometry::make_cylinder({.radius = 4, .length = 16});
+  for (auto& inlet : geo.inlets) {
+    inlet.pulse_amplitude = 0.4;
+    inlet.pulse_period = 15.0;
+  }
+  const auto mesh = lbm::FluidMesh::build(geo.grid);
+  RuntimeOptions storm;
+  storm.rebalance.enabled = true;
+  storm.rebalance.window = 2;
+  storm.rebalance.threshold = 1.01;
+  storm.rebalance.patience = 1;
+  storm.rebalance.min_block = 1;
+  storm.rebalance.move_fraction = 0.5;
+  for (const auto layout : {lbm::Layout::kAoS, lbm::Layout::kSoA}) {
+    for (const auto backend : lbm::simd::detected_backends()) {
+      auto params = base_params();
+      params.kernel.layout = layout;
+      params.kernel.backend = backend;
+      lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
+      serial.run(20);
+      const auto at20 = serial.export_state();
+      serial.run(10);
+      const auto at30 = serial.export_state();
+      for (const index_t n_ranks : {1, 2, 4, 8}) {
+        SCOPED_TRACE(lbm::to_string(layout) + " " + lbm::to_string(backend) +
+                     " ranks " + std::to_string(n_ranks));
+        ParallelSolver migrated(
+            mesh,
+            decomp::make_partition(mesh, n_ranks, decomp::Strategy::kSlab),
+            params, std::span(geo.inlets), storm);
+        migrated.run(10);
+        const auto source = migrated.partition().points_of[0].size();
+        if (n_ranks > 1 && source >= 2) {
+          migrated.request_migration(0, 1, static_cast<index_t>(source / 2));
+        }
+        migrated.run(10);
+        EXPECT_EQ(migrated.export_state(), at20);
+
+        ParallelSolver restored(
+            mesh,
+            decomp::make_partition(mesh, n_ranks, decomp::Strategy::kRcb),
+            params, std::span(geo.inlets));
+        restored.restore_state(at20, 20);
+        EXPECT_EQ(restored.export_state(), at20);
+        restored.run(10);
+        EXPECT_EQ(restored.export_state(), at30);
+      }
+    }
+  }
+}
+
+TEST(ParallelSolver, EmptyRanksStayIdleAndBitIdentical) {
+  // Grid partitions of sparse geometries leave tasks without points; their
+  // rank solvers hold nothing and step nothing.
+  struct Case {
+    geometry::Geometry geo;
+    index_t tasks;
+    decomp::Strategy strategy;
+  };
+  std::vector<Case> cases;
+  cases.push_back({geometry::make_cerebral({.depth = 3}), 16,
+                   decomp::Strategy::kGrid});
+  cases.push_back({geometry::make_cylinder({.radius = 5, .length = 24}), 27,
+                   decomp::Strategy::kSlab});
+  for (const Case& c : cases) {
+    const auto mesh = lbm::FluidMesh::build(c.geo.grid);
+    const auto part = decomp::make_partition(mesh, c.tasks, c.strategy);
+    const auto empty = std::count_if(
+        part.points_of.begin(), part.points_of.end(),
+        [](const auto& points) { return points.empty(); });
+    SCOPED_TRACE(std::to_string(empty) + " empty of " +
+                 std::to_string(c.tasks));
+    ASSERT_GT(empty, 0);
+    const auto params = base_params();
+    lbm::Solver<double> serial(mesh, params, std::span(c.geo.inlets));
+    ParallelSolver parallel(mesh, part, params, std::span(c.geo.inlets));
+    serial.run(30);
+    parallel.run(30);
+    EXPECT_EQ(parallel.export_state(), serial.export_state());
+  }
 }
 
 TEST(RebalanceController, QuietWindowsNeverTrigger) {

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "lbm/simd.hpp"
 #include "runtime/parallel_solver.hpp"
 
 namespace hemo::runtime {
@@ -71,6 +72,32 @@ TEST(RuntimeStress, RebalanceStormStaysBitIdentical) {
     total += static_cast<index_t>(points.size());
   }
   EXPECT_EQ(total, mesh.num_points());
+}
+
+TEST(RuntimeStress, SoaWidestBackendRebalanceStormStaysBitIdentical) {
+  // The same storm on the SoA layout with the widest detected backend:
+  // every rebuild constructs fresh rank solvers with their own tile
+  // kernels while the other ranks wait at the barrier.
+  const auto geo = geometry::make_cylinder({.radius = 4, .length = 20});
+  const auto mesh = lbm::FluidMesh::build(geo.grid);
+  auto params = base_params();
+  params.kernel.layout = lbm::Layout::kSoA;
+  params.kernel.backend = lbm::simd::detected_backends().front();
+  RuntimeOptions options;
+  options.rebalance.enabled = true;
+  options.rebalance.window = 2;
+  options.rebalance.threshold = 1.01;
+  options.rebalance.patience = 1;
+  options.rebalance.min_block = 1;
+  options.rebalance.move_fraction = 0.5;
+  ParallelSolver parallel(
+      mesh, decomp::make_partition(mesh, 4, decomp::Strategy::kSlab), params,
+      std::span(geo.inlets), options);
+  parallel.run(80);
+
+  lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
+  serial.run(80);
+  EXPECT_EQ(parallel.export_state(), serial.export_state());
 }
 
 TEST(RuntimeStress, ConcurrentSolversDoNotInterfere) {

@@ -7,11 +7,11 @@
 #include <sstream>
 
 #include "geometry/generators.hpp"
-#include "harvey/distributed.hpp"
 #include "lbm/io.hpp"
 #include "lbm/point_update.hpp"
 #include "lbm/mesh.hpp"
 #include "lbm/solver.hpp"
+#include "runtime/parallel_solver.hpp"
 
 namespace hemo::lbm {
 namespace {
@@ -220,8 +220,8 @@ TEST(Checkpoint, RejectsGarbageStream) {
 }
 
 TEST(DistributedExtensions, ForcedPeriodicFlowMatchesSerialBitwise) {
-  // Distributed solver with body force over a periodic mesh must still
-  // match the serial solver exactly.
+  // Ranks with body force over a periodic mesh must still match the
+  // serial solver exactly.
   const auto geo = geometry::make_periodic_cylinder({.radius = 4,
                                                      .length = 12});
   MeshOptions options;
@@ -235,13 +235,14 @@ TEST(DistributedExtensions, ForcedPeriodicFlowMatchesSerialBitwise) {
 
   const auto part =
       decomp::make_partition(mesh, 5, decomp::Strategy::kRcb);
-  harvey::DistributedSolver dist(mesh, part, params, {});
+  runtime::ParallelSolver dist(mesh, part, params, {});
   dist.run(40);
   for (index_t p = 0; p < mesh.num_points(); p += 3) {
     const auto ms = serial.moments_at(p);
     const auto md = dist.moments_at(p);
     ASSERT_DOUBLE_EQ(ms.uz, md.uz);
   }
+  EXPECT_EQ(dist.export_state(), serial.export_state());
 }
 
 }  // namespace
