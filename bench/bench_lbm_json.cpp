@@ -18,8 +18,8 @@
 //
 // Honesty rules: every result records the *effective* backend and thread
 // count the solver actually ran (Solver::backend() / Solver::threads()),
-// never the request. Variants whose hot path cannot use a vector backend
-// (AoS layouts, the reference path) appear only under "scalar", and the
+// never the request. The reference path, the scalar oracle, cannot use a
+// vector backend and appears only under "scalar", and the
 // regression checker refuses to compare results across different
 // (backend, threads) coordinates.
 //
@@ -258,6 +258,7 @@ void write_json(std::ostream& os, const Options& opt,
   os << "      \"wall\": " << c.wall << ",\n";
   os << "      \"inlet\": " << c.inlet << ",\n";
   os << "      \"outlet\": " << c.outlet << ",\n";
+  os << "      \"run_axis\": " << seg.run_axis() << ",\n";
   os << "      \"spans\": " << seg.spans().size() << ",\n";
   os << "      \"mean_span_length\": " << seg.mean_span_length() << ",\n";
   os << "      \"max_span_length\": " << seg.max_span_length() << "\n";
@@ -314,11 +315,10 @@ int main(int argc, char** argv) {
       for (const auto layout : {lbm::Layout::kAoS, lbm::Layout::kSoA}) {
         for (const auto precision :
              {lbm::Precision::kDouble, lbm::Precision::kSingle}) {
-          // Vector backends exist only on the segmented SoA hot path;
-          // everything else runs scalar and is recorded once, not
-          // duplicated under backend names it cannot execute.
-          const bool vectorizable = path == lbm::KernelPath::kSegmented &&
-                                    layout == lbm::Layout::kSoA;
+          // Both layouts of the segmented path run the backend tile
+          // kernels; the reference path runs scalar and is recorded once,
+          // not duplicated under backend names it cannot execute.
+          const bool vectorizable = path == lbm::KernelPath::kSegmented;
           for (const lbm::Backend backend : opt.backends) {
             if (!vectorizable && backend != lbm::Backend::kScalar) continue;
             for (const index_t threads : opt.threads) {

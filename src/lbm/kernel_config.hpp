@@ -40,10 +40,10 @@ enum class Precision {
 /// Hot-path implementation of the serial solver.
 enum class KernelPath {
   kReference,  ///< one fused loop, per-point neighbor gather + type branch
-  kSegmented,  ///< segment-reordered mesh, branch-free RLE bulk kernel
+  kSegmented,  ///< segment-reordered mesh, SIMD tile kernels
 };
 
-/// SIMD backend of the segmented SoA bulk kernels (lbm/simd.hpp). Every
+/// SIMD backend of the segmented path's tile kernels (lbm/simd.hpp). Every
 /// backend executes the identical per-point IEEE operation sequence, so
 /// all of them produce bit-identical state (asserted by
 /// tests/test_simd_backends.cpp); the choice only moves throughput.
@@ -66,8 +66,8 @@ struct KernelConfig {
   /// tests/test_kernel_paths.cpp); kSegmented is the production default,
   /// kReference is retained as the differential oracle and model anchor.
   KernelPath path = KernelPath::kSegmented;
-  /// SIMD backend request; only the segmented SoA bulk kernels dispatch on
-  /// it (AoS and the reference path always run the portable code). An
+  /// SIMD backend request; the segmented path dispatches on it, either
+  /// layout (the reference path always runs the portable code). An
   /// explicit value must name a compiled-in, CPU-supported backend.
   Backend backend = Backend::kAuto;
 

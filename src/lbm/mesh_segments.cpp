@@ -1,16 +1,16 @@
 #include "lbm/mesh_segments.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace hemo::lbm {
 
 namespace {
 
-/// Fast-path membership: interior bulk points have no boundary condition
-/// and no bounce-back link, so their update is pure gather + collide.
-[[nodiscard]] bool is_bulk_interior(const FluidMesh& mesh, index_t p) {
-  return mesh.type(p) == PointType::kBulk && mesh.solid_links(p) == 0;
-}
+/// The -x, -y and -z directions of the D3Q19 stencil.
+constexpr std::array<index_t, 3> kMinus = {2, 4, 6};
+static_assert(kD3Q19[2].dx == -1 && kD3Q19[4].dy == -1 &&
+              kD3Q19[6].dz == -1);
 
 }  // namespace
 
@@ -51,9 +51,10 @@ SegmentedMesh SegmentedMesh::build_slots(const FluidMesh& mesh,
   SegmentedMesh seg;
   seg.n_ = n_slots;
 
-  // Class of each owned slot, in position order: 0 interior bulk,
-  // 1 interior boundary, 2 frontier bulk, 3 frontier boundary. Without
-  // ghosts no slot is frontier.
+  // Class of each owned slot: 3 * pass + kind, pass 0 interior or 1
+  // frontier, kind 0 bulk, 1 wall or 2 open. Without ghosts no slot is
+  // frontier. The same sweep counts, per axis, the run starts (owned
+  // points whose -axis neighbor is solid) and the coordinate bounds.
   const auto reads_ghost = [&](index_t p) {
     bool ghost = false;
     for (index_t q = 1; q < kQ; ++q) {
@@ -68,42 +69,89 @@ SegmentedMesh SegmentedMesh::build_slots(const FluidMesh& mesh,
     return ghost;
   };
   std::vector<std::uint8_t> cls(static_cast<std::size_t>(n_owned));
-  std::array<index_t, 4> count{};
+  std::array<index_t, 6> count{};
+  std::array<index_t, 3> run_starts{};
+  std::array<index_t, 3> lo{}, hi{};
+  std::vector<std::array<index_t, 3>> xyz(static_cast<std::size_t>(n_owned));
   for (index_t s = 0; s < n_owned; ++s) {
     const index_t p = global_of(s);
     const bool frontier = n_slots > n_owned && reads_ghost(p);
-    const std::uint8_t c = static_cast<std::uint8_t>(
-        (frontier ? 2 : 0) + (is_bulk_interior(mesh, p) ? 0 : 1));
-    cls[static_cast<std::size_t>(s)] = c;
-    ++count[c];
+    std::uint8_t kind = 1;
     switch (mesh.type(p)) {
       case PointType::kBulk:
-        if (mesh.solid_links(p) == 0) ++seg.counts_.bulk_interior;
-        else ++seg.counts_.bulk_edge;
+        if (mesh.solid_links(p) == 0) {
+          ++seg.counts_.bulk_interior;
+          kind = 0;
+        } else {
+          ++seg.counts_.bulk_edge;
+        }
         break;
       case PointType::kWall: ++seg.counts_.wall; break;
-      case PointType::kInlet: ++seg.counts_.inlet; break;
-      case PointType::kOutlet: ++seg.counts_.outlet; break;
+      case PointType::kInlet: ++seg.counts_.inlet; kind = 2; break;
+      case PointType::kOutlet: ++seg.counts_.outlet; kind = 2; break;
       case PointType::kSolid: break;  // never stored in a FluidMesh
     }
+    const auto c = static_cast<std::uint8_t>((frontier ? 3 : 0) + kind);
+    cls[static_cast<std::size_t>(s)] = c;
+    ++count[c];
+    const Voxel& v = mesh.voxel(p);
+    xyz[static_cast<std::size_t>(s)] = {v.x, v.y, v.z};
+    for (std::size_t a = 0; a < 3; ++a) {
+      const index_t x = xyz[static_cast<std::size_t>(s)][a];
+      run_starts[a] += mesh.neighbor(p, kMinus[a]) == kSolidLink ? 1 : 0;
+      lo[a] = s == 0 ? x : std::min(lo[a], x);
+      hi[a] = s == 0 ? x : std::max(hi[a], x);
+    }
   }
-  seg.interior_ = {0, count[0], count[0] + count[1]};
-  seg.frontier_ = {seg.interior_.end, seg.interior_.end + count[2], n_owned};
+  const index_t c0 = count[0];
+  seg.interior_ = {0, c0, c0 + count[1], c0 + count[1] + count[2]};
+  const index_t f0 = seg.interior_.end;
+  seg.frontier_ = {f0, f0 + count[3], f0 + count[3] + count[4], n_owned};
+  seg.run_axis_ = static_cast<index_t>(
+      std::min_element(run_starts.begin(), run_starts.end()) -
+      run_starts.begin());
 
-  // Stable bucketing: each class keeps the slots' relative order. On a
-  // whole mesh slots are the original points, whose x-contiguous interior
-  // rows stay contiguous, which the RLE pass below turns into long
-  // constant-offset spans. Ghosts keep their slots.
-  std::array<index_t, 4> next = {0, seg.interior_.bulk_end,
-                                 seg.frontier_.begin, seg.frontier_.bulk_end};
+  // Order each class with the run axis fastest and the other two axes in
+  // the grid's own order (z slowest): a least-significant-digit radix
+  // sort of the owned slots on the fast coordinate, the mid coordinate,
+  // then (class, slow coordinate). Each pass is a stable counting sort,
+  // O(n + buckets). Ghosts keep their slots.
+  const auto fast = static_cast<std::size_t>(seg.run_axis_);
+  const std::size_t slow = fast == 2 ? 1 : 2;
+  const std::size_t mid = 3 - fast - slow;
+  std::vector<std::int32_t> order(static_cast<std::size_t>(n_owned));
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<std::int32_t> scratch(order.size());
+  const auto sort_by = [&](index_t buckets, auto digit) {
+    std::vector<index_t> next(static_cast<std::size_t>(buckets) + 1, 0);
+    for (const std::int32_t s : order) {
+      ++next[static_cast<std::size_t>(digit(s)) + 1];
+    }
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (const std::int32_t s : order) {
+      scratch[static_cast<std::size_t>(
+          next[static_cast<std::size_t>(digit(s))]++)] = s;
+    }
+    order.swap(scratch);
+  };
+  const auto rel = [&](std::int32_t s, std::size_t a) {
+    return xyz[static_cast<std::size_t>(s)][a] - lo[a];
+  };
+  sort_by(hi[fast] - lo[fast] + 1,
+          [&](std::int32_t s) { return rel(s, fast); });
+  sort_by(hi[mid] - lo[mid] + 1, [&](std::int32_t s) { return rel(s, mid); });
+  const index_t slow_extent = hi[slow] - lo[slow] + 1;
+  sort_by(6 * slow_extent, [&](std::int32_t s) {
+    return cls[static_cast<std::size_t>(s)] * slow_extent + rel(s, slow);
+  });
   seg.position_of_.resize(static_cast<std::size_t>(n_slots));
   seg.point_at_.resize(static_cast<std::size_t>(n_slots));
-  for (index_t s = 0; s < n_slots; ++s) {
-    const index_t i =
-        s < n_owned ? next[cls[static_cast<std::size_t>(s)]]++ : s;
+  for (index_t i = 0; i < n_slots; ++i) {
+    const std::int32_t s = i < n_owned ? order[static_cast<std::size_t>(i)]
+                                       : static_cast<std::int32_t>(i);
+    seg.point_at_[static_cast<std::size_t>(i)] = s;
     seg.position_of_[static_cast<std::size_t>(s)] =
         static_cast<std::int32_t>(i);
-    seg.point_at_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(s);
   }
 
   // Permuted neighbor table and types of the owned positions.

@@ -7,15 +7,23 @@
 //
 //  * Classification — points split into the *bulk-interior* class
 //    (PointType::kBulk with zero solid links: every one of the 19
-//    neighbors is fluid, so no bounce-back and no boundary condition) and
-//    the *boundary* class (wall/inlet/outlet points plus any point with a
-//    solid link).
-//  * Stable permutation — bulk-interior points first, boundary points
-//    after, each preserving the original relative order. Solvers keep
-//    their distribution arrays in this order; public point indices stay
-//    the original order and are translated via position_of() /
-//    point_at(), so IO, observables, and the decomposition layer are
-//    unchanged.
+//    neighbors is fluid, so no bounce-back and no boundary condition),
+//    the *wall* class (kWall points and kBulk points with solid links:
+//    the interior arithmetic, with bounce-back substituted for the solid
+//    links) and the *open* class (kInlet and kOutlet points, the only
+//    ones with a boundary condition of their own).
+//  * Permutation — bulk-interior points first, then walls, then open
+//    points. Within a class, points are ordered by voxel coordinates with
+//    the *run axis* fastest: the axis along which the fluid has the
+//    fewest run starts (points whose -axis neighbor is solid), counted in
+//    O(n) over the points being built. Consecutive positions then follow
+//    the longest fluid runs, which is what makes the spans below long
+//    (the 25,360-point benchmark cylinder, z-fastest: 723 spans of mean
+//    length 26.0, against 5538 of mean 3.4 in the grid's x-fastest
+//    order). Solvers keep their distribution arrays in this order;
+//    public point indices stay the original order and are translated via
+//    position_of() / point_at(), so IO, observables, and the
+//    decomposition layer are unchanged.
 //  * Run-length encoding — maximal spans of consecutive bulk-interior
 //    positions whose 19 neighbor offsets (neighbor position minus own
 //    position) are constant. Inside a span the kernel streams with direct
@@ -29,8 +37,8 @@
 // upstream neighbor is a ghost) and the *frontier* pass (at least one
 // is), so positions run
 //
-//   [interior bulk | interior boundary | frontier bulk |
-//    frontier boundary | ghosts]
+//   [interior bulk | interior walls | interior open |
+//    frontier bulk | frontier walls | frontier open | ghosts]
 //
 // and RLE spans never straddle a pass. The interior pass can run while
 // halo messages are still in flight; the frontier pass runs once the
@@ -62,17 +70,19 @@ struct SegmentSpan {
 };
 
 /// Positions stepped together: [begin, bulk_end) are bulk-interior points
-/// (covered by RLE spans), [bulk_end, end) boundary points.
+/// (covered by RLE spans), [bulk_end, wall_end) wall points (kWall, and
+/// kBulk with solid links), [wall_end, end) open points (kInlet, kOutlet).
 struct SegmentPass {
   index_t begin = 0;
   index_t bulk_end = 0;
+  index_t wall_end = 0;
   index_t end = 0;
 };
 
 /// Owned-point counts per segment class (bench/diagnostic output).
 struct SegmentCounts {
   index_t bulk_interior = 0;  ///< kBulk, zero solid links (fast path)
-  index_t bulk_edge = 0;      ///< kBulk with solid links (boundary path)
+  index_t bulk_edge = 0;      ///< kBulk with solid links (wall class)
   index_t wall = 0;
   index_t inlet = 0;
   index_t outlet = 0;
@@ -101,7 +111,7 @@ class SegmentedMesh {
   }
 
   /// Owned bulk-interior points. Without ghosts these are positions
-  /// [0, bulk_count()) and the boundary class follows.
+  /// [0, bulk_count()) and the wall and open classes follow.
   [[nodiscard]] index_t bulk_count() const noexcept {
     return counts_.bulk_interior;
   }
@@ -147,6 +157,10 @@ class SegmentedMesh {
     return counts_;
   }
 
+  /// The axis (0 = x, 1 = y, 2 = z) that runs fastest in every class's
+  /// position order.
+  [[nodiscard]] index_t run_axis() const noexcept { return run_axis_; }
+
   /// Mean span length (0 when there is no bulk segment).
   [[nodiscard]] real_t mean_span_length() const noexcept;
 
@@ -163,6 +177,7 @@ class SegmentedMesh {
   void encode_spans(index_t lo, index_t hi);
 
   index_t n_ = 0;
+  index_t run_axis_ = 0;
   SegmentPass interior_;
   SegmentPass frontier_;
   std::vector<std::int32_t> position_of_;

@@ -1,5 +1,5 @@
-// Runtime-selected multi-backend SIMD dispatch for the segmented SoA bulk
-// kernels.
+// Runtime-selected multi-backend SIMD dispatch for the segmented path's
+// tile kernels.
 //
 // The portability layer has three parts:
 //  * compile-time backend inventory — each explicit-intrinsic variant of
@@ -37,10 +37,11 @@
 
 namespace hemo::lbm::simd {
 
-/// Signature of a bulk tile kernel: per-direction source/destination
-/// stream pointers (contiguous over w consecutive bulk-interior points —
-/// the RLE span property), BGK omega, the forcing velocity shift, and the
-/// squared Smagorinsky constant (used only by the LES instantiations).
+/// Signature of a tile kernel: per-direction source/destination stream
+/// pointers, each contiguous over the w points (an RLE span of the SoA
+/// array, or a staged stack tile; src may equal dst), BGK omega, the
+/// forcing velocity shift, and the squared Smagorinsky constant (used
+/// only by the LES instantiations).
 template <typename T>
 using TileFn = void (*)(const T* const* src, T* const* dst, index_t w,
                         T omega, const std::array<T, 3>& force_shift, T cs2);

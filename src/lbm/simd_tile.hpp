@@ -1,7 +1,8 @@
 // Generic SIMD bulk tile kernel + per-ISA vector traits.
 //
-// One templated kernel (tile_run) implements the segmented SoA bulk update
-// over any vector trait class V; each backend translation unit
+// One templated kernel (tile_run) implements the segmented path's interior
+// update (SoA bulk spans in place, AoS and wall points through a staged
+// stack tile) over any vector trait class V; each backend translation unit
 // (simd_scalar.cpp, simd_sse2.cpp, simd_avx2.cpp, simd_avx512.cpp,
 // simd_neon.cpp) instantiates it with its own traits under the ISA flags
 // that TU is compiled with. The trait operations map 1:1 onto single

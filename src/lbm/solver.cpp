@@ -84,18 +84,22 @@ void Solver<T>::setup(std::span<const geometry::InletSpec> inlets,
     f2_.resize(static_cast<std::size_t>(n_ * kQ));
   }
 
-  // Inlet velocity targets from the Poiseuille profiles, in internal
-  // point order so the boundary kernels index them directly.
-  const index_t n_bc = seg_ ? seg_->num_owned() : n_;
-  bc_velocity_.resize(static_cast<std::size_t>(n_bc));
-  bc_pulse_.resize(static_cast<std::size_t>(n_bc));
-  for (index_t i = 0; i < n_bc; ++i) {
-    const index_t s = seg_ ? seg_->point_at(i) : i;
+  // Inlet velocity targets from the Poiseuille profiles: a row per point
+  // on the reference path, per open position (in position order) on the
+  // segmented path.
+  const auto add_bc_row = [&](index_t s) {
     const index_t p = owned.empty() ? s : owned[static_cast<std::size_t>(s)];
-    bc_velocity_[static_cast<std::size_t>(i)] =
-        inlet_velocity<T>(*mesh_, p, inlets);
-    bc_pulse_[static_cast<std::size_t>(i)] =
-        inlet_pulse_params<T>(*mesh_, p, inlets);
+    bc_velocity_.push_back(inlet_velocity<T>(*mesh_, p, inlets));
+    bc_pulse_.push_back(inlet_pulse_params<T>(*mesh_, p, inlets));
+  };
+  if (seg_) {
+    for (const SegmentPass& r : {seg_->interior(), seg_->frontier()}) {
+      for (index_t i = r.wall_end; i < r.end; ++i) {
+        add_bc_row(seg_->point_at(i));
+      }
+    }
+  } else {
+    for (index_t p = 0; p < n_; ++p) add_bc_row(p);
   }
   for (std::size_t d = 0; d < 3; ++d) {
     force_shift_[d] = static_cast<T>(params_.tau * params_.body_force[d]);
@@ -117,12 +121,17 @@ void Solver<T>::initialize() {
   const Layout layout = params_.kernel.layout;
   // Rest equilibrium is point-independent, so the only thing the loop
   // structure decides is which thread first-touches which pages; mirror
-  // the step kernels' partition (each pass's bulk blocks and boundary
-  // range statically chunked on the segmented path, then the ghost rows;
-  // one static loop on the reference path).
+  // the step kernels' partition (each pass's thread_share() on the
+  // segmented path, then the ghost rows; one static loop on the reference
+  // path).
+  std::array<T, kQ> rest;
+  for (index_t q = 0; q < kQ; ++q) {
+    rest[static_cast<std::size_t>(q)] =
+        equilibrium<T>(q, T{1}, T{0}, T{0}, T{0});
+  }
   const auto init_position = [&](index_t i) {
     for (index_t q = 0; q < kQ; ++q) {
-      const T feq = equilibrium<T>(q, T{1}, T{0}, T{0}, T{0});
+      const T feq = rest[static_cast<std::size_t>(q)];
       const auto slot = static_cast<std::size_t>(state_index(layout, n_, i, q));
       f_[slot] = feq;
       if (!f2_.empty()) f2_[slot] = feq;
@@ -134,20 +143,11 @@ void Solver<T>::initialize() {
 #endif
     {
       const auto [tid, nt] = omp_ids();
+      const auto init_range = [&](index_t lo, index_t hi) {
+        for (index_t i = lo; i < hi; ++i) init_position(i);
+      };
       for (const Pass& pass : passes_) {
-        const auto n_blocks = static_cast<index_t>(pass.blocks.size()) - 1;
-        const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
-        for (index_t b = b0; b < b1; ++b) {
-          const index_t lo = pass.blocks[static_cast<std::size_t>(b)];
-          const index_t hi = pass.blocks[static_cast<std::size_t>(b + 1)];
-          for (index_t i = lo; i < hi; ++i) init_position(i);
-        }
-        const index_t bulk_end = pass.range.bulk_end;
-        const auto [blo, bhi] =
-            static_chunk(pass.range.end - bulk_end, tid, nt);
-        for (index_t i = bulk_end + blo; i < bulk_end + bhi; ++i) {
-          init_position(i);
-        }
+        thread_share(pass, tid, nt, init_range, init_range, init_range);
       }
       const index_t owned = seg_->num_owned();
       const auto [glo, ghi] = static_chunk(n_ - owned, tid, nt);
@@ -164,27 +164,23 @@ void Solver<T>::initialize() {
 }
 
 template <typename T>
-void Solver<T>::update_point(index_t p, const T* g, T* out) const {
-  std::array<T, 3> bc = bc_velocity_[static_cast<std::size_t>(p)];
-  const auto& pulse = bc_pulse_[static_cast<std::size_t>(p)];
+void Solver<T>::update_point(PointType type, index_t bc_row, const T* g,
+                             T* out) const {
+  std::array<T, 3> bc = bc_velocity_[static_cast<std::size_t>(bc_row)];
+  const auto& pulse = bc_pulse_[static_cast<std::size_t>(bc_row)];
   if (pulse[0] != T{0}) {
     const T scale = pulse_scale<T>(pulse[0], pulse[1], timestep_);
     for (auto& component : bc) component *= scale;
   }
-  update_point_values<T>(mesh_->type(p), g, out, omega_, bc, force_shift_,
-                         cs2_);
+  update_point_values<T>(type, g, out, omega_, bc, force_shift_, cs2_);
 }
 
 template <typename T>
-void Solver<T>::update_boundary_point(index_t i, const T* g, T* out) const {
-  std::array<T, 3> bc = bc_velocity_[static_cast<std::size_t>(i)];
-  const auto& pulse = bc_pulse_[static_cast<std::size_t>(i)];
-  if (pulse[0] != T{0}) {
-    const T scale = pulse_scale<T>(pulse[0], pulse[1], timestep_);
-    for (auto& component : bc) component *= scale;
-  }
-  update_point_values<T>(seg_->type(i), g, out, omega_, bc, force_shift_,
-                         cs2_);
+index_t Solver<T>::open_row(index_t i) const noexcept {
+  const SegmentPass& interior = seg_->interior();
+  return i < interior.end
+             ? i - interior.wall_end
+             : interior.end - interior.wall_end + i - seg_->frontier().wall_end;
 }
 
 // Parallelization notes: in the AB pull kernel every point writes only its
@@ -213,7 +209,7 @@ void Solver<T>::step_ab(const Pass& pass) {
                  ? f_[static_cast<std::size_t>(idx<L>(nb, q))]
                  : f_[static_cast<std::size_t>(idx<L>(p, opposite(q)))];
     }
-    update_point(p, g, out);
+    update_point(mesh_->type(p), p, g, out);
     for (index_t q = 0; q < kQ; ++q) {
       f2_[static_cast<std::size_t>(idx<L>(p, q))] = out[q];
     }
@@ -232,7 +228,7 @@ void Solver<T>::step_aa_even(const Pass& pass) {
     for (index_t q = 0; q < kQ; ++q) {
       g[q] = f_[static_cast<std::size_t>(idx<L>(p, q))];
     }
-    update_point(p, g, out);
+    update_point(mesh_->type(p), p, g, out);
     for (index_t q = 0; q < kQ; ++q) {
       f_[static_cast<std::size_t>(idx<L>(p, opposite(q)))] = out[q];
     }
@@ -254,7 +250,7 @@ void Solver<T>::step_aa_odd(const Pass& pass) {
                  ? f_[static_cast<std::size_t>(idx<L>(m, opposite(q)))]
                  : f_[static_cast<std::size_t>(idx<L>(p, q))];
     }
-    update_point(p, g, out);
+    update_point(mesh_->type(p), p, g, out);
     for (index_t q = 0; q < kQ; ++q) {
       const std::int32_t nb = mesh_->neighbor(p, q);
       if (nb != kSolidLink) {
@@ -268,31 +264,71 @@ void Solver<T>::step_aa_odd(const Pass& pass) {
 
 // ---- Segmented path ------------------------------------------------------
 //
-// Bulk loops iterate RLE spans: every neighbor is position + constant
-// offset, so the inner loop is a direct-indexed stream with no neighbor
-// table, no solid-link test, no boundary-type switch, and (via the WithLes
-// template parameter) no LES branch. Boundary loops run the general
-// gather over the internal-space neighbor table.
+// Every bulk-interior and wall point runs the interior arithmetic through
+// the bound backend tile kernel (tile_fn_, lbm/simd.hpp). Inside an RLE
+// span every neighbor is position + constant offset, so on SoA each
+// direction of a span is one unit-stride stream and the tile kernel reads
+// and writes the distribution array directly. Everything else — AoS bulk
+// points, and wall points on either layout — is staged: kStage points are
+// gathered into a direction-major stack tile, relaxed in place by the
+// tile kernel, and scattered back. A tile may take points from several
+// consecutive spans, each with its own offsets, so short spans still fill
+// whole vectors. Wall points gather through the neighbor table with
+// bounce-back substituted for the solid links. Only open points (inlets,
+// outlets) take the per-point path with its boundary-type switch.
 
 template <typename T>
-template <Layout L, bool WithLes>
-void Solver<T>::seg_bulk_ab(index_t lo, index_t hi) {
+template <typename Gather, typename Scatter>
+void Solver<T>::staged(index_t lo, index_t hi, Gather&& gather,
+                       Scatter&& scatter) {
+  // In place: every vector group of the tile kernel loads all kQ
+  // directions before it stores any, and a tile is gathered whole before
+  // any of it is scattered. The AA sweeps stay safe in place for the same
+  // reason their direct kernels are: each location's reader is its
+  // writer.
+  alignas(64) Tile tile;
+  T* rows[kQ];
+  for (index_t q = 0; q < kQ; ++q) rows[q] = tile[q];
+  for (index_t t0 = lo; t0 < hi; t0 += kStage) {
+    const index_t w = std::min(kStage, hi - t0);
+    gather(t0, w, tile);
+    tile_fn_(rows, rows, w, omega_, force_shift_, cs2_);
+    scatter(t0, w, tile);
+  }
+}
+
+template <typename T>
+template <Layout L>
+void Solver<T>::store_rows(T* f, index_t t0, index_t w,
+                           const Tile& tile) const {
+  for (index_t k = 0; k < w; ++k) {
+    for (index_t q = 0; q < kQ; ++q) {
+      f[static_cast<std::size_t>(idx<L>(t0 + k, q))] = tile[q][k];
+    }
+  }
+}
+
+template <typename T>
+template <typename Fn>
+void Solver<T>::for_span_pieces(index_t lo, index_t hi, Fn&& fn) const {
   const auto& spans = seg_->spans();
   auto it = std::upper_bound(
       spans.begin(), spans.end(), lo,
       [](index_t v, const SegmentSpan& s) { return v < s.begin + s.length; });
+  for (; it != spans.end() && it->begin < hi; ++it) {
+    fn(std::max(lo, it->begin), std::min(hi, it->begin + it->length),
+       it->offsets);
+  }
+}
+
+template <typename T>
+template <Layout L>
+void Solver<T>::seg_bulk_ab(index_t lo, index_t hi) {
   const T* const f = f_.data();
   T* const f2 = f2_.data();
-  [[maybe_unused]] const simd::TileFn<T> fn =
-      nt_stores_ ? tile_fn_nt_ : tile_fn_;
-  for (; it != spans.end() && it->begin < hi; ++it) {
-    const index_t s0 = std::max(lo, it->begin);
-    const index_t s1 = std::min(hi, it->begin + it->length);
-    const auto& off = it->offsets;
-    if constexpr (L == Layout::kSoA) {
-      // Every per-direction stream is contiguous across the span, so the
-      // whole span goes to the backend tile kernel in one call (the LES
-      // mode is baked into the bound function pointer).
+  if constexpr (L == Layout::kSoA) {
+    const simd::TileFn<T> fn = nt_stores_ ? tile_fn_nt_ : tile_fn_;
+    for_span_pieces(lo, hi, [&](index_t s0, index_t s1, const auto& off) {
       const T* src[kQ];
       T* dst[kQ];
       for (index_t q = 0; q < kQ; ++q) {
@@ -303,37 +339,39 @@ void Solver<T>::seg_bulk_ab(index_t lo, index_t hi) {
         dst[q] = f2 + static_cast<std::size_t>(idx<L>(s0, q));
       }
       fn(src, dst, s1 - s0, omega_, force_shift_, cs2_);
-      continue;
-    }
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-    for (index_t i = s0; i < s1; ++i) {
-      T g[kQ], out[kQ];
-      for (index_t q = 0; q < kQ; ++q) {
-        const index_t src =
-            i + static_cast<index_t>(
-                    off[static_cast<std::size_t>(opposite(q))]);
-        g[q] = f[static_cast<std::size_t>(idx<L>(src, q))];
-      }
-      update_interior_values<T, WithLes>(g, out, omega_, force_shift_, cs2_);
-      for (index_t q = 0; q < kQ; ++q) {
-        f2[static_cast<std::size_t>(idx<L>(i, q))] = out[q];
-      }
-    }
+    });
+  } else {
+    staged(
+        lo, hi,
+        [&](index_t t0, index_t w, Tile& tile) {
+          for_span_pieces(t0, t0 + w, [&](index_t s0, index_t s1,
+                                          const auto& off) {
+            for (index_t q = 0; q < kQ; ++q) {
+              const index_t from =
+                  s0 + static_cast<index_t>(
+                           off[static_cast<std::size_t>(opposite(q))]);
+              T* row = tile[q] + (s0 - t0);
+              for (index_t k = 0; k < s1 - s0; ++k) {
+                row[k] = f[static_cast<std::size_t>(idx<L>(from + k, q))];
+              }
+            }
+          });
+        },
+        [&](index_t t0, index_t w, const Tile& tile) {
+          store_rows<L>(f2, t0, w, tile);
+        });
   }
 }
 
 template <typename T>
-template <Layout L, bool WithLes>
-void Solver<T>::seg_bulk_aa_even(index_t lo, index_t hi) {
-  // The even AA step touches only the point's own row — no neighbor
-  // indexing at all, so spans are irrelevant here.
+template <Layout L>
+void Solver<T>::seg_rows_aa_even(index_t lo, index_t hi) {
+  // The even AA step touches only the point's own row (bounce-back folds
+  // into the opposite-slot write), so bulk and wall points update alike
+  // and spans are irrelevant here. Never NT — the data is re-read next
+  // step.
   T* const f = f_.data();
   if constexpr (L == Layout::kSoA) {
-    // In-place safe: each vector group loads all 19 directions before it
-    // stores any, and the even step's reader of every location is its
-    // writer. Never NT — the data is re-read next step.
     const T* src[kQ];
     T* dst[kQ];
     for (index_t q = 0; q < kQ; ++q) {
@@ -341,39 +379,34 @@ void Solver<T>::seg_bulk_aa_even(index_t lo, index_t hi) {
       dst[q] = f + static_cast<std::size_t>(idx<L>(lo, opposite(q)));
     }
     tile_fn_(src, dst, hi - lo, omega_, force_shift_, cs2_);
-    return;
-  }
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-  for (index_t i = lo; i < hi; ++i) {
-    T g[kQ], out[kQ];
-    for (index_t q = 0; q < kQ; ++q) {
-      g[q] = f[static_cast<std::size_t>(idx<L>(i, q))];
-    }
-    update_interior_values<T, WithLes>(g, out, omega_, force_shift_, cs2_);
-    for (index_t q = 0; q < kQ; ++q) {
-      f[static_cast<std::size_t>(idx<L>(i, opposite(q)))] = out[q];
-    }
+  } else {
+    staged(
+        lo, hi,
+        [&](index_t t0, index_t w, Tile& tile) {
+          for (index_t k = 0; k < w; ++k) {
+            for (index_t q = 0; q < kQ; ++q) {
+              tile[q][k] = f[static_cast<std::size_t>(idx<L>(t0 + k, q))];
+            }
+          }
+        },
+        [&](index_t t0, index_t w, const Tile& tile) {
+          for (index_t k = 0; k < w; ++k) {
+            for (index_t q = 0; q < kQ; ++q) {
+              f[static_cast<std::size_t>(idx<L>(t0 + k, opposite(q)))] =
+                  tile[q][k];
+            }
+          }
+        });
   }
 }
 
 template <typename T>
-template <Layout L, bool WithLes>
+template <Layout L>
 void Solver<T>::seg_bulk_aa_odd(index_t lo, index_t hi) {
-  const auto& spans = seg_->spans();
-  auto it = std::upper_bound(
-      spans.begin(), spans.end(), lo,
-      [](index_t v, const SegmentSpan& s) { return v < s.begin + s.length; });
+  // In place; never NT.
   T* const f = f_.data();
-  for (; it != spans.end() && it->begin < hi; ++it) {
-    const index_t s0 = std::max(lo, it->begin);
-    const index_t s1 = std::min(hi, it->begin + it->length);
-    const auto& off = it->offsets;
-    if constexpr (L == Layout::kSoA) {
-      // In-place safe: group-at-a-time load-all/store-all plus the
-      // reader == writer property of the odd step (see the
-      // parallelization notes above). Never NT — in-place sweep.
+  if constexpr (L == Layout::kSoA) {
+    for_span_pieces(lo, hi, [&](index_t s0, index_t s1, const auto& off) {
       const T* src[kQ];
       T* dst[kQ];
       for (index_t q = 0; q < kQ; ++q) {
@@ -386,32 +419,98 @@ void Solver<T>::seg_bulk_aa_odd(index_t lo, index_t hi) {
         dst[q] = f + static_cast<std::size_t>(idx<L>(to, q));
       }
       tile_fn_(src, dst, s1 - s0, omega_, force_shift_, cs2_);
-      continue;
-    }
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-    for (index_t i = s0; i < s1; ++i) {
-      T g[kQ], out[kQ];
-      for (index_t q = 0; q < kQ; ++q) {
-        const index_t opp = opposite(q);
-        const index_t m =
-            i + static_cast<index_t>(off[static_cast<std::size_t>(opp)]);
-        g[q] = f[static_cast<std::size_t>(idx<L>(m, opp))];
-      }
-      update_interior_values<T, WithLes>(g, out, omega_, force_shift_, cs2_);
-      for (index_t q = 0; q < kQ; ++q) {
-        const index_t nb =
-            i + static_cast<index_t>(off[static_cast<std::size_t>(q)]);
-        f[static_cast<std::size_t>(idx<L>(nb, q))] = out[q];
-      }
-    }
+    });
+  } else {
+    staged(
+        lo, hi,
+        [&](index_t t0, index_t w, Tile& tile) {
+          for_span_pieces(t0, t0 + w, [&](index_t s0, index_t s1,
+                                          const auto& off) {
+            for (index_t q = 0; q < kQ; ++q) {
+              const index_t opp = opposite(q);
+              const index_t from =
+                  s0 + static_cast<index_t>(off[static_cast<std::size_t>(opp)]);
+              T* row = tile[q] + (s0 - t0);
+              for (index_t k = 0; k < s1 - s0; ++k) {
+                row[k] = f[static_cast<std::size_t>(idx<L>(from + k, opp))];
+              }
+            }
+          });
+        },
+        [&](index_t t0, index_t w, const Tile& tile) {
+          for_span_pieces(t0, t0 + w, [&](index_t s0, index_t s1,
+                                          const auto& off) {
+            for (index_t q = 0; q < kQ; ++q) {
+              const index_t to =
+                  s0 + static_cast<index_t>(off[static_cast<std::size_t>(q)]);
+              const T* row = tile[q] + (s0 - t0);
+              for (index_t k = 0; k < s1 - s0; ++k) {
+                f[static_cast<std::size_t>(idx<L>(to + k, q))] = row[k];
+              }
+            }
+          });
+        });
   }
 }
 
 template <typename T>
 template <Layout L>
-void Solver<T>::seg_boundary_ab(index_t lo, index_t hi) {
+void Solver<T>::seg_walls_ab(index_t lo, index_t hi) {
+  const T* const f = f_.data();
+  T* const f2 = f2_.data();
+  staged(
+      lo, hi,
+      [&](index_t t0, index_t w, Tile& tile) {
+        for (index_t k = 0; k < w; ++k) {
+          const index_t i = t0 + k;
+          for (index_t q = 0; q < kQ; ++q) {
+            const std::int32_t nb = seg_->neighbor(i, opposite(q));
+            tile[q][k] = nb != kSolidLink
+                             ? f[static_cast<std::size_t>(idx<L>(nb, q))]
+                             : f[static_cast<std::size_t>(
+                                   idx<L>(i, opposite(q)))];
+          }
+        }
+      },
+      [&](index_t t0, index_t w, const Tile& tile) {
+        store_rows<L>(f2, t0, w, tile);
+      });
+}
+
+template <typename T>
+template <Layout L>
+void Solver<T>::seg_walls_aa_odd(index_t lo, index_t hi) {
+  T* const f = f_.data();
+  staged(
+      lo, hi,
+      [&](index_t t0, index_t w, Tile& tile) {
+        for (index_t k = 0; k < w; ++k) {
+          const index_t i = t0 + k;
+          for (index_t q = 0; q < kQ; ++q) {
+            const std::int32_t m = seg_->neighbor(i, opposite(q));
+            tile[q][k] = m != kSolidLink
+                             ? f[static_cast<std::size_t>(
+                                   idx<L>(m, opposite(q)))]
+                             : f[static_cast<std::size_t>(idx<L>(i, q))];
+          }
+        }
+      },
+      [&](index_t t0, index_t w, const Tile& tile) {
+        for (index_t k = 0; k < w; ++k) {
+          const index_t i = t0 + k;
+          for (index_t q = 0; q < kQ; ++q) {
+            const std::int32_t nb = seg_->neighbor(i, q);
+            const index_t to = nb != kSolidLink ? idx<L>(nb, q)
+                                                : idx<L>(i, opposite(q));
+            f[static_cast<std::size_t>(to)] = tile[q][k];
+          }
+        }
+      });
+}
+
+template <typename T>
+template <Layout L>
+void Solver<T>::seg_open_ab(index_t lo, index_t hi) {
   for (index_t i = lo; i < hi; ++i) {
     T g[kQ], out[kQ];
     for (index_t q = 0; q < kQ; ++q) {
@@ -420,7 +519,7 @@ void Solver<T>::seg_boundary_ab(index_t lo, index_t hi) {
                  ? f_[static_cast<std::size_t>(idx<L>(nb, q))]
                  : f_[static_cast<std::size_t>(idx<L>(i, opposite(q)))];
     }
-    update_boundary_point(i, g, out);
+    update_point(seg_->type(i), open_row(i), g, out);
     for (index_t q = 0; q < kQ; ++q) {
       f2_[static_cast<std::size_t>(idx<L>(i, q))] = out[q];
     }
@@ -429,13 +528,13 @@ void Solver<T>::seg_boundary_ab(index_t lo, index_t hi) {
 
 template <typename T>
 template <Layout L>
-void Solver<T>::seg_boundary_aa_even(index_t lo, index_t hi) {
+void Solver<T>::seg_open_aa_even(index_t lo, index_t hi) {
   for (index_t i = lo; i < hi; ++i) {
     T g[kQ], out[kQ];
     for (index_t q = 0; q < kQ; ++q) {
       g[q] = f_[static_cast<std::size_t>(idx<L>(i, q))];
     }
-    update_boundary_point(i, g, out);
+    update_point(seg_->type(i), open_row(i), g, out);
     for (index_t q = 0; q < kQ; ++q) {
       f_[static_cast<std::size_t>(idx<L>(i, opposite(q)))] = out[q];
     }
@@ -444,7 +543,7 @@ void Solver<T>::seg_boundary_aa_even(index_t lo, index_t hi) {
 
 template <typename T>
 template <Layout L>
-void Solver<T>::seg_boundary_aa_odd(index_t lo, index_t hi) {
+void Solver<T>::seg_open_aa_odd(index_t lo, index_t hi) {
   for (index_t i = lo; i < hi; ++i) {
     T g[kQ], out[kQ];
     for (index_t q = 0; q < kQ; ++q) {
@@ -453,7 +552,7 @@ void Solver<T>::seg_boundary_aa_odd(index_t lo, index_t hi) {
                  ? f_[static_cast<std::size_t>(idx<L>(m, opposite(q)))]
                  : f_[static_cast<std::size_t>(idx<L>(i, q))];
     }
-    update_boundary_point(i, g, out);
+    update_point(seg_->type(i), open_row(i), g, out);
     for (index_t q = 0; q < kQ; ++q) {
       const std::int32_t nb = seg_->neighbor(i, q);
       if (nb != kSolidLink) {
@@ -465,78 +564,73 @@ void Solver<T>::seg_boundary_aa_odd(index_t lo, index_t hi) {
   }
 }
 
-// Pass drivers: the pass's bulk range is walked block-by-block
+// Pass drivers: a pass's bulk range is walked block-by-block
 // (span-aligned blocks, contiguous block ranges per thread — the exact
-// partition initialize() first-touched), its boundary range by a static
-// chunk. No barrier between the two: within a step no point's gather
-// reads a location another point writes (see the parallelization notes
-// above).
+// partition initialize() first-touched), its wall and open ranges by
+// static chunks. No barrier between them: within a step no point's
+// gather reads a location another point writes (see the parallelization
+// notes above).
 
 template <typename T>
-template <Layout L, bool WithLes>
-void Solver<T>::seg_step_ab(const Pass& pass) {
+template <typename Bulk, typename Walls, typename Open>
+void Solver<T>::thread_share(const Pass& pass, int tid, int nt, Bulk&& bulk,
+                             Walls&& walls, Open&& open) const {
   const auto n_blocks = static_cast<index_t>(pass.blocks.size()) - 1;
-  const index_t bulk_end = pass.range.bulk_end;
+  const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
+  for (index_t b = b0; b < b1; ++b) {
+    bulk(pass.blocks[static_cast<std::size_t>(b)],
+         pass.blocks[static_cast<std::size_t>(b + 1)]);
+  }
+  const SegmentPass& r = pass.range;
+  const auto [w0, w1] = static_chunk(r.wall_end - r.bulk_end, tid, nt);
+  walls(r.bulk_end + w0, r.bulk_end + w1);
+  const auto [o0, o1] = static_chunk(r.end - r.wall_end, tid, nt);
+  open(r.wall_end + o0, r.wall_end + o1);
+}
+
+template <typename T>
+template <typename Bulk, typename Walls, typename Open>
+void Solver<T>::sweep(const Pass& pass, Bulk bulk, Walls walls, Open open) {
 #ifdef _OPENMP
 #pragma omp parallel num_threads(static_cast<int>(threads_))
 #endif
   {
     const auto [tid, nt] = omp_ids();
-    const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
-    for (index_t b = b0; b < b1; ++b) {
-      seg_bulk_ab<L, WithLes>(pass.blocks[static_cast<std::size_t>(b)],
-                              pass.blocks[static_cast<std::size_t>(b + 1)]);
-    }
+    thread_share(pass, tid, nt, bulk, walls, open);
     // Streaming stores are weakly ordered: each pass fences them (per
     // thread) ahead of the implicit barrier that ends it, so they are
     // visible before the back array is swapped in or a rank barrier
     // publishes it.
     if (nt_stores_) simd::store_fence(backend_);
-    const auto [blo, bhi] = static_chunk(pass.range.end - bulk_end, tid, nt);
-    seg_boundary_ab<L>(bulk_end + blo, bulk_end + bhi);
   }
 }
 
 template <typename T>
-template <Layout L, bool WithLes>
+template <Layout L>
+void Solver<T>::seg_step_ab(const Pass& pass) {
+  sweep(
+      pass, [this](index_t lo, index_t hi) { seg_bulk_ab<L>(lo, hi); },
+      [this](index_t lo, index_t hi) { seg_walls_ab<L>(lo, hi); },
+      [this](index_t lo, index_t hi) { seg_open_ab<L>(lo, hi); });
+}
+
+template <typename T>
+template <Layout L>
 void Solver<T>::seg_step_aa_even(const Pass& pass) {
-  const auto n_blocks = static_cast<index_t>(pass.blocks.size()) - 1;
-  const index_t bulk_end = pass.range.bulk_end;
-#ifdef _OPENMP
-#pragma omp parallel num_threads(static_cast<int>(threads_))
-#endif
-  {
-    const auto [tid, nt] = omp_ids();
-    const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
-    for (index_t b = b0; b < b1; ++b) {
-      seg_bulk_aa_even<L, WithLes>(
-          pass.blocks[static_cast<std::size_t>(b)],
-          pass.blocks[static_cast<std::size_t>(b + 1)]);
-    }
-    const auto [blo, bhi] = static_chunk(pass.range.end - bulk_end, tid, nt);
-    seg_boundary_aa_even<L>(bulk_end + blo, bulk_end + bhi);
-  }
+  const auto rows = [this](index_t lo, index_t hi) {
+    seg_rows_aa_even<L>(lo, hi);
+  };
+  sweep(pass, rows, rows,
+        [this](index_t lo, index_t hi) { seg_open_aa_even<L>(lo, hi); });
 }
 
 template <typename T>
-template <Layout L, bool WithLes>
+template <Layout L>
 void Solver<T>::seg_step_aa_odd(const Pass& pass) {
-  const auto n_blocks = static_cast<index_t>(pass.blocks.size()) - 1;
-  const index_t bulk_end = pass.range.bulk_end;
-#ifdef _OPENMP
-#pragma omp parallel num_threads(static_cast<int>(threads_))
-#endif
-  {
-    const auto [tid, nt] = omp_ids();
-    const auto [b0, b1] = static_chunk(n_blocks, tid, nt);
-    for (index_t b = b0; b < b1; ++b) {
-      seg_bulk_aa_odd<L, WithLes>(
-          pass.blocks[static_cast<std::size_t>(b)],
-          pass.blocks[static_cast<std::size_t>(b + 1)]);
-    }
-    const auto [blo, bhi] = static_chunk(pass.range.end - bulk_end, tid, nt);
-    seg_boundary_aa_odd<L>(bulk_end + blo, bulk_end + bhi);
-  }
+  sweep(
+      pass, [this](index_t lo, index_t hi) { seg_bulk_aa_odd<L>(lo, hi); },
+      [this](index_t lo, index_t hi) { seg_walls_aa_odd<L>(lo, hi); },
+      [this](index_t lo, index_t hi) { seg_open_aa_odd<L>(lo, hi); });
 }
 
 template <typename T>
@@ -544,8 +638,8 @@ void Solver<T>::bind_kernels() {
   const bool aos = params_.kernel.layout == Layout::kAoS;
   const bool ab = params_.kernel.propagation == Propagation::kAB;
   if (params_.kernel.path == KernelPath::kReference) {
-    passes_[0].range = {0, 0, n_};
-    passes_[1].range = {n_, n_, n_};
+    passes_[0].range = {0, 0, 0, n_};
+    passes_[1].range = {n_, n_, n_, n_};
     if (ab) {
       pass_even_fn_ = aos ? &Solver::step_ab<Layout::kAoS>
                           : &Solver::step_ab<Layout::kSoA>;
@@ -558,35 +652,28 @@ void Solver<T>::bind_kernels() {
     }
     return;
   }
-  const bool les = cs2_ > T{0};
-  const auto bind = [&]<Layout L, bool WithLes>() {
-    if (ab) {
-      pass_even_fn_ = &Solver::seg_step_ab<L, WithLes>;
-      pass_odd_fn_ = pass_even_fn_;
-    } else {
-      pass_even_fn_ = &Solver::seg_step_aa_even<L, WithLes>;
-      pass_odd_fn_ = &Solver::seg_step_aa_odd<L, WithLes>;
-    }
-  };
-  if (aos) {
-    if (les) bind.template operator()<Layout::kAoS, true>();
-    else bind.template operator()<Layout::kAoS, false>();
+  if (ab) {
+    pass_even_fn_ = aos ? &Solver::seg_step_ab<Layout::kAoS>
+                        : &Solver::seg_step_ab<Layout::kSoA>;
+    pass_odd_fn_ = pass_even_fn_;
   } else {
-    if (les) bind.template operator()<Layout::kSoA, true>();
-    else bind.template operator()<Layout::kSoA, false>();
+    pass_even_fn_ = aos ? &Solver::seg_step_aa_even<Layout::kAoS>
+                        : &Solver::seg_step_aa_even<Layout::kSoA>;
+    pass_odd_fn_ = aos ? &Solver::seg_step_aa_odd<Layout::kAoS>
+                       : &Solver::seg_step_aa_odd<Layout::kSoA>;
   }
 
-  // SIMD backend axis — segmented SoA only: AoS interleaves the 19
-  // directions per point, so there are no unit-stride streams for a
-  // vector kernel to consume (its effective backend stays kScalar, and
-  // that is what backend() reports — benchmarks record what ran).
+  // SIMD backend axis, both layouts; the LES mode is baked into the bound
+  // tile function.
+  const bool les = cs2_ > T{0};
+  backend_ = simd::resolve_backend(params_.kernel.backend);
+  tile_fn_ = simd::tile_kernel<T>(backend_, les, false);
   if (!aos) {
-    backend_ = simd::resolve_backend(params_.kernel.backend);
-    tile_fn_ = simd::tile_kernel<T>(backend_, les, false);
     tile_fn_nt_ = simd::tile_kernel<T>(backend_, les, true);
     // Streaming stores pay off only when the two distribution arrays
     // dwarf the cache (otherwise they evict lines the next step would
-    // hit); AB only — the AA sweeps re-read what they write in place.
+    // hit); SoA AB only — AoS stores through the staged tile's scatter,
+    // and the AA sweeps re-read what they write in place.
     const bool big = static_cast<std::size_t>(n_) * kQ * sizeof(T) * 2 >
                      (std::size_t{64} << 20);
     bool want_nt = ab && backend_ != Backend::kScalar && big;
@@ -597,7 +684,7 @@ void Solver<T>::bind_kernels() {
   }
 
   // Span-aligned bulk blocks per pass: cut only at RLE span ends so the
-  // tile kernels always see whole spans (no masked tails at partition
+  // SoA tile kernels always see whole spans (no masked tails at partition
   // seams), sized so a thread's per-block working set stays
   // cache-resident while still yielding several blocks per thread for an
   // even static split.

@@ -14,12 +14,13 @@
 //  * KernelPath::kReference — one fused loop per step: each point pays a
 //    19-wide neighbor-table gather and a type/pulse/LES branch.
 //  * KernelPath::kSegmented (default) — the distribution arrays are held
-//    in SegmentedMesh order (bulk-interior points first, boundary points
-//    after). The bulk segment streams span-by-span with constant neighbor
-//    offsets (direct indexing, no gather table) through a branch-free
-//    inner loop with the LES branch resolved at compile time; only the
-//    small boundary segment runs the general gather + type-switch path.
-//    Public point indices remain the original mesh order — moments_at,
+//    in SegmentedMesh order (bulk-interior points, then walls, then
+//    inlets and outlets, each class ordered along the run axis). Every
+//    bulk-interior and wall point runs through the backend tile kernel
+//    (lbm/simd.hpp): SoA bulk spans hand it pointers straight into the
+//    array, everything else is staged through a direction-major stack
+//    tile. Only inlet and outlet points take the per-point type-switch
+//    path. Public point indices remain the original mesh order — moments_at,
 //    f_value, IO, observables, and the decomposition layer see no
 //    difference.
 // The layout/propagation/path dispatch is hoisted out of step() into
@@ -137,10 +138,10 @@ class Solver {
     return seg_.get();
   }
 
-  /// The SIMD backend the bulk kernels actually execute. Only the
-  /// segmented SoA path runs intrinsic kernels; the reference and AoS
-  /// paths always report kScalar (benchmark honesty: what is recorded is
-  /// what ran, not what was requested).
+  /// The SIMD backend the tile kernels actually execute: the resolved
+  /// request on the segmented path, either layout. The reference path is
+  /// the scalar oracle and always reports kScalar (benchmark honesty: what
+  /// is recorded is what ran, not what was requested).
   [[nodiscard]] Backend backend() const noexcept { return backend_; }
 
   /// The OpenMP team size the kernels run with (resolved from
@@ -236,36 +237,76 @@ class Solver {
   template <Layout L>
   void step_aa_odd(const Pass& pass);
 
-  // Segmented kernels: branch-free RLE bulk range + general boundary
-  // range of a pass, both statically partitioned across threads.
-  template <Layout L, bool WithLes>
+  // Segmented kernels. A pass is one sweep over its bulk blocks, its wall
+  // range and its open range, statically partitioned across threads; the
+  // bulk and wall kernels run the bound tile kernel, the open kernels
+  // (inlets, outlets) the per-point update.
+  template <Layout L>
   void seg_step_ab(const Pass& pass);
-  template <Layout L, bool WithLes>
+  template <Layout L>
   void seg_step_aa_even(const Pass& pass);
-  template <Layout L, bool WithLes>
+  template <Layout L>
   void seg_step_aa_odd(const Pass& pass);
 
-  template <Layout L, bool WithLes>
+  /// Runs bulk(lo, hi), walls(lo, hi) and open(lo, hi) over one pass in
+  /// a parallel region, each thread on its thread_share().
+  template <typename Bulk, typename Walls, typename Open>
+  void sweep(const Pass& pass, Bulk bulk, Walls walls, Open open);
+
+  /// Thread tid of nt's share of a pass: a contiguous run of its bulk
+  /// blocks, then a static chunk of its wall range and of its open range.
+  /// initialize() first-touches through the same partition.
+  template <typename Bulk, typename Walls, typename Open>
+  void thread_share(const Pass& pass, int tid, int nt, Bulk&& bulk,
+                    Walls&& walls, Open&& open) const;
+
+  template <Layout L>
   void seg_bulk_ab(index_t lo, index_t hi);
-  template <Layout L, bool WithLes>
-  void seg_bulk_aa_even(index_t lo, index_t hi);
-  template <Layout L, bool WithLes>
+  template <Layout L>
   void seg_bulk_aa_odd(index_t lo, index_t hi);
   template <Layout L>
-  void seg_boundary_ab(index_t lo, index_t hi);
+  void seg_rows_aa_even(index_t lo, index_t hi);
   template <Layout L>
-  void seg_boundary_aa_even(index_t lo, index_t hi);
+  void seg_walls_ab(index_t lo, index_t hi);
   template <Layout L>
-  void seg_boundary_aa_odd(index_t lo, index_t hi);
+  void seg_walls_aa_odd(index_t lo, index_t hi);
+  template <Layout L>
+  void seg_open_ab(index_t lo, index_t hi);
+  template <Layout L>
+  void seg_open_aa_even(index_t lo, index_t hi);
+  template <Layout L>
+  void seg_open_aa_odd(index_t lo, index_t hi);
 
-  /// Computes the post-collision (or boundary) values for point p given its
-  /// gathered arrivals g; writes them to out[0..18]. Reference path:
-  /// p is an original mesh index.
-  void update_point(index_t p, const T* g, T* out) const;
+  /// Points per staged tile.
+  static constexpr index_t kStage = 32;
+  /// A staged tile, direction-major: row q holds direction q of the
+  /// tile's points, the unit-stride streams the tile kernel consumes.
+  using Tile = T[kQ][kStage];
 
-  /// Segmented-path boundary update: i is the internal position of an
-  /// owned boundary point.
-  void update_boundary_point(index_t i, const T* g, T* out) const;
+  /// The interior arithmetic over positions [lo, hi), kStage at a time:
+  /// gather(t0, w, tile) fills the tile with the arrivals of positions
+  /// [t0, t0 + w), the tile kernel relaxes it in place, scatter(t0, w,
+  /// tile) stores the results.
+  template <typename Gather, typename Scatter>
+  void staged(index_t lo, index_t hi, Gather&& gather, Scatter&& scatter);
+
+  /// Stores a relaxed tile as the rows of positions [t0, t0 + w) of f.
+  template <Layout L>
+  void store_rows(T* f, index_t t0, index_t w, const Tile& tile) const;
+
+  /// Calls fn(a, b, offsets) for each piece [a, b) of bulk positions
+  /// [lo, hi) that one RLE span covers, in order.
+  template <typename Fn>
+  void for_span_pieces(index_t lo, index_t hi, Fn&& fn) const;
+
+  /// Computes the post-collision (or boundary) values of a point of type
+  /// `type` from its gathered arrivals g; writes them to out[0..18].
+  /// `bc_row` is the point's row of the boundary tables.
+  void update_point(PointType type, index_t bc_row, const T* g,
+                    T* out) const;
+
+  /// Row of the boundary tables of open position i (segmented path).
+  [[nodiscard]] index_t open_row(index_t i) const noexcept;
 
   const FluidMesh* mesh_;
   SolverParams params_;
@@ -284,10 +325,10 @@ class Solver {
   /// The interior pass, then the frontier pass.
   std::array<Pass, 2> passes_;
 
-  /// Effective SIMD backend of the bulk tile kernels (kScalar off the
-  /// segmented SoA path) and the bound tile functions: the normal-store
-  /// variant and, when profitable, the streaming-store variant for the AB
-  /// back array.
+  /// Effective SIMD backend of the tile kernels (kScalar on the reference
+  /// path) and the bound tile functions: the normal-store variant and,
+  /// when profitable, the streaming-store variant for the SoA AB back
+  /// array.
   Backend backend_ = Backend::kScalar;
   simd::TileFn<T> tile_fn_ = nullptr;
   simd::TileFn<T> tile_fn_nt_ = nullptr;
@@ -299,11 +340,12 @@ class Solver {
   std::vector<T> f_;   // main array (internal point order)
   std::vector<T> f2_;  // second array (AB only)
 
-  // Per-point boundary targets of the owned points in internal order: for
-  // kInlet the imposed velocity; unused otherwise. Stored densely for O(1)
-  // access in the kernels.
+  // Boundary tables, one row per point that may need one: every point on
+  // the reference path (row = point), only the open positions on the
+  // segmented path (open_row()). For kInlet the imposed velocity; zero
+  // otherwise.
   std::vector<std::array<T, 3>> bc_velocity_;
-  // Per-point pulsatile {amplitude, period}; zero for steady inlets.
+  // Pulsatile {amplitude, period}; zero for steady inlets.
   std::vector<std::array<T, 2>> bc_pulse_;
   // tau * body_force, the equilibrium velocity shift of the forcing term.
   std::array<T, 3> force_shift_ = {T{0}, T{0}, T{0}};

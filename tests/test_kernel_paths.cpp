@@ -9,12 +9,15 @@
 // solver.cpp). These tests assert that equivalence exhaustively across
 // {AB, AA} x {AoS, SoA} x {float, double} and the physics toggles (LES,
 // pulsatile inlets, periodic body-force flow), plus the structural
-// invariants of the SegmentedMesh permutation itself.
+// invariants of the SegmentedMesh permutation itself: its class order,
+// its run-axis order, and the spans that order yields.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -204,43 +207,157 @@ TEST(KernelPaths, CheckpointsAreCrossPathCompatible) {
   EXPECT_EQ(seg.export_state(), ref.export_state());
 }
 
-TEST(SegmentedMeshTest, PermutationIsAStableBijection) {
-  const auto geo = geometry::make_cylinder({.radius = 6, .length = 30});
-  const FluidMesh mesh = FluidMesh::build(geo.grid);
-  const SegmentedMesh seg = SegmentedMesh::build(mesh);
-  const index_t n = mesh.num_points();
-  ASSERT_EQ(seg.num_points(), n);
+/// Class of mesh point p in the segment order: 0 bulk-interior, 1 wall
+/// (kWall, or kBulk with solid links), 2 open (kInlet, kOutlet).
+int segment_kind(const FluidMesh& mesh, index_t p) {
+  switch (mesh.type(p)) {
+    case PointType::kInlet:
+    case PointType::kOutlet:
+      return 2;
+    case PointType::kBulk:
+      return mesh.solid_links(p) == 0 ? 0 : 1;
+    default:
+      return 1;
+  }
+}
 
+/// Sort key of point p with `axis` fastest and the other two axes in the
+/// grid's order (z slowest).
+std::array<index_t, 3> axis_key(const FluidMesh& mesh, index_t p,
+                                index_t axis) {
+  const Voxel& v = mesh.voxel(p);
+  switch (axis) {
+    case 0: return {v.z, v.y, v.x};
+    case 1: return {v.z, v.x, v.y};
+    default: return {v.y, v.x, v.z};
+  }
+}
+
+/// The order contract of a segment build whose local slot s is mesh
+/// point global[s]: a bijection; each pass holds its bulk, wall and open
+/// classes contiguously, in that order; within a class positions ascend
+/// in the run-axis-fastest key; ghost slots keep their positions.
+void expect_class_ordered(const SegmentedMesh& seg, const FluidMesh& mesh,
+                          const std::vector<index_t>& global) {
+  const index_t n = seg.num_points();
+  ASSERT_EQ(static_cast<index_t>(global.size()), n);
   std::vector<bool> hit(static_cast<std::size_t>(n), false);
   for (index_t i = 0; i < n; ++i) {
-    const index_t p = seg.point_at(i);
-    ASSERT_GE(p, 0);
-    ASSERT_LT(p, n);
-    EXPECT_FALSE(hit[static_cast<std::size_t>(p)]) << "duplicate point " << p;
-    hit[static_cast<std::size_t>(p)] = true;
-    EXPECT_EQ(seg.position_of(p), i);
-    EXPECT_EQ(seg.type(i), mesh.type(p));
+    const index_t s = seg.point_at(i);
+    ASSERT_GE(s, 0);
+    ASSERT_LT(s, n);
+    EXPECT_FALSE(hit[static_cast<std::size_t>(s)]) << "duplicate slot " << s;
+    hit[static_cast<std::size_t>(s)] = true;
+    EXPECT_EQ(seg.position_of(s), i);
   }
+  for (index_t i = seg.num_owned(); i < n; ++i) {
+    EXPECT_EQ(seg.point_at(i), i) << "ghost moved";
+  }
+  for (const SegmentPass& pass : {seg.interior(), seg.frontier()}) {
+    const std::array<index_t, 4> bounds = {pass.begin, pass.bulk_end,
+                                           pass.wall_end, pass.end};
+    for (int kind = 0; kind < 3; ++kind) {
+      const index_t lo = bounds[static_cast<std::size_t>(kind)];
+      const index_t hi = bounds[static_cast<std::size_t>(kind) + 1];
+      for (index_t i = lo; i < hi; ++i) {
+        const index_t p = global[static_cast<std::size_t>(seg.point_at(i))];
+        EXPECT_EQ(seg.type(i), mesh.type(p));
+        EXPECT_EQ(segment_kind(mesh, p), kind) << "position " << i;
+        if (i > lo) {
+          const index_t prev =
+              global[static_cast<std::size_t>(seg.point_at(i - 1))];
+          EXPECT_LT(axis_key(mesh, prev, seg.run_axis()),
+                    axis_key(mesh, p, seg.run_axis()))
+              << "position " << i;
+        }
+      }
+    }
+  }
+}
 
-  // Stability: original order preserved within each segment, and the bulk
-  // segment is exactly the bulk-interior class.
-  for (index_t i = 1; i < seg.bulk_count(); ++i) {
-    EXPECT_LT(seg.point_at(i - 1), seg.point_at(i));
+TEST(SegmentedMeshTest, PermutationIsAClassOrderedBijection) {
+  const auto geo = geometry::make_cylinder({.radius = 6, .length = 30});
+  const FluidMesh mesh = FluidMesh::build(geo.grid);
+  const index_t n = mesh.num_points();
+  const SegmentedMesh seg = SegmentedMesh::build(mesh);
+  ASSERT_EQ(seg.num_points(), n);
+  std::vector<index_t> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), index_t{0});
+  expect_class_ordered(seg, mesh, all);
+
+  // The run axis is the one with the fewest run starts: points whose
+  // -axis neighbor (directions 2, 4, 6) is solid.
+  std::array<index_t, 3> starts{};
+  for (index_t p = 0; p < n; ++p) {
+    for (std::size_t a = 0; a < 3; ++a) {
+      if (mesh.neighbor(p, 2 + 2 * static_cast<index_t>(a)) == kSolidLink) {
+        ++starts[a];
+      }
+    }
   }
-  for (index_t i = seg.bulk_count() + 1; i < n; ++i) {
-    EXPECT_LT(seg.point_at(i - 1), seg.point_at(i));
-  }
-  for (index_t i = 0; i < n; ++i) {
-    const index_t p = seg.point_at(i);
-    const bool fast = mesh.type(p) == PointType::kBulk &&
-                      mesh.solid_links(p) == 0;
-    EXPECT_EQ(i < seg.bulk_count(), fast);
-  }
+  EXPECT_EQ(seg.run_axis(),
+            std::min_element(starts.begin(), starts.end()) - starts.begin());
 
   const auto& c = seg.counts();
   EXPECT_EQ(c.bulk_interior, seg.bulk_count());
+  EXPECT_EQ(seg.interior().bulk_end, c.bulk_interior);
+  EXPECT_EQ(seg.interior().wall_end - seg.interior().bulk_end,
+            c.bulk_edge + c.wall);
+  EXPECT_EQ(seg.interior().end - seg.interior().wall_end, c.inlet + c.outlet);
   EXPECT_EQ(c.bulk_interior + c.bulk_edge + c.wall + c.inlet + c.outlet, n);
   EXPECT_GT(c.bulk_interior, n / 2);  // cylinder is bulk-dominated
+
+  // A rank build: the lower half of the cylinder owned, its upstream
+  // neighbors in the upper half as ghosts, listed in reverse so that the
+  // order owes nothing to the slot order.
+  std::vector<index_t> owned, ghosts;
+  std::vector<bool> is_owned(static_cast<std::size_t>(n), false);
+  for (index_t p = n - 1; p >= 0; --p) {
+    if (mesh.voxel(p).z < 15) {
+      owned.push_back(p);
+      is_owned[static_cast<std::size_t>(p)] = true;
+    }
+  }
+  std::vector<bool> is_ghost(static_cast<std::size_t>(n), false);
+  for (const index_t p : owned) {
+    for (index_t q = 1; q < kQ; ++q) {
+      const std::int32_t nb = mesh.neighbor(p, q);
+      if (nb == kSolidLink || is_owned[static_cast<std::size_t>(nb)] ||
+          is_ghost[static_cast<std::size_t>(nb)]) {
+        continue;
+      }
+      is_ghost[static_cast<std::size_t>(nb)] = true;
+      ghosts.push_back(nb);
+    }
+  }
+  ASSERT_FALSE(ghosts.empty());
+  const SegmentedMesh rank = SegmentedMesh::build(mesh, owned, ghosts);
+  std::vector<index_t> global = owned;
+  global.insert(global.end(), ghosts.begin(), ghosts.end());
+  expect_class_ordered(rank, mesh, global);
+  EXPECT_GT(rank.frontier().end, rank.frontier().begin);
+}
+
+TEST(SegmentedMeshTest, RunAxisOrderLengthensSpans) {
+  // The benchmark cylinder runs along z: ordered z-fastest its bulk
+  // coalesces into a few hundred long spans (5538 spans of mean length
+  // 3.4 in the grid's x-fastest order). The vessel trees gain too.
+  const auto cylinder = FluidMesh::build(
+      geometry::make_cylinder({.radius = 10, .length = 80}).grid);
+  const SegmentedMesh seg = SegmentedMesh::build(cylinder);
+  EXPECT_EQ(seg.run_axis(), 2);
+  EXPECT_LE(seg.spans().size(), 800u);
+  EXPECT_GE(seg.mean_span_length(), 20.0);
+
+  const auto aorta = FluidMesh::build(geometry::make_aorta().grid);
+  const SegmentedMesh aorta_seg = SegmentedMesh::build(aorta);
+  EXPECT_EQ(aorta_seg.run_axis(), 2);
+  EXPECT_LT(aorta_seg.spans().size(), 14052u);  // x-fastest order
+
+  const auto cerebral = FluidMesh::build(geometry::make_cerebral().grid);
+  const SegmentedMesh cerebral_seg = SegmentedMesh::build(cerebral);
+  EXPECT_EQ(cerebral_seg.run_axis(), 2);
+  EXPECT_LT(cerebral_seg.spans().size(), 5926u);  // x-fastest order
 }
 
 TEST(SegmentedMeshTest, SpansTileTheBulkSegmentWithExactOffsets) {

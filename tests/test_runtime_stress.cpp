@@ -22,6 +22,15 @@ lbm::SolverParams base_params() {
   return params;
 }
 
+/// The serial reference of a runtime run: one thread, so no OpenMP team
+/// runs beside the rank threads (libgomp's barriers are invisible to the
+/// thread sanitizer and read as races). Serial results are bit-stable
+/// across thread counts, so the comparison loses nothing.
+lbm::SolverParams serial_params(lbm::SolverParams params) {
+  params.num_threads = 1;
+  return params;
+}
+
 TEST(RuntimeStress, OversubscribedRanksStayBitIdentical) {
   // Far more rank threads than cores: every mailbox wait and barrier epoch
   // gets exercised under forced preemption.
@@ -32,7 +41,8 @@ TEST(RuntimeStress, OversubscribedRanksStayBitIdentical) {
       static_cast<index_t>(std::max(1u, std::thread::hardware_concurrency()));
   const index_t n_ranks = std::min<index_t>(2 * hw + 6, 16);
 
-  lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
+  lbm::Solver<double> serial(mesh, serial_params(params),
+                             std::span(geo.inlets));
   ParallelSolver parallel(
       mesh, decomp::make_partition(mesh, n_ranks, decomp::Strategy::kRcb),
       params, std::span(geo.inlets));
@@ -60,7 +70,8 @@ TEST(RuntimeStress, RebalanceStormStaysBitIdentical) {
       std::span(geo.inlets), options);
   parallel.run(80);
 
-  lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
+  lbm::Solver<double> serial(mesh, serial_params(params),
+                             std::span(geo.inlets));
   serial.run(80);
   EXPECT_EQ(parallel.export_state(), serial.export_state());
   // On a real scheduler the hair trigger fires essentially every window;
@@ -95,7 +106,8 @@ TEST(RuntimeStress, SoaWidestBackendRebalanceStormStaysBitIdentical) {
       std::span(geo.inlets), options);
   parallel.run(80);
 
-  lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
+  lbm::Solver<double> serial(mesh, serial_params(params),
+                             std::span(geo.inlets));
   serial.run(80);
   EXPECT_EQ(parallel.export_state(), serial.export_state());
 }
@@ -117,7 +129,8 @@ TEST(RuntimeStress, ConcurrentSolversDoNotInterfere) {
   ta.join();
   tb.join();
 
-  lbm::Solver<double> serial(mesh, params, std::span(geo.inlets));
+  lbm::Solver<double> serial(mesh, serial_params(params),
+                             std::span(geo.inlets));
   serial.run(30);
   const auto expected = serial.export_state();
   EXPECT_EQ(a.export_state(), expected);

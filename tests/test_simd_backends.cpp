@@ -7,7 +7,8 @@
 // partitions only change which thread processes which point, and within a
 // step no point reads a location another point writes. These tests assert
 // that exhaustively — backends x threads {1, 2, 8} x {AB, AA} x
-// {AoS, SoA} x {float, double} x {plain, LES, pulsatile} — plus the
+// {AoS, SoA} x {float, double} x {plain, LES, pulsatile} — and, on a
+// short-span cerebral tree, against the reference path itself; plus the
 // resolution rules (explicit > HEMO_SIMD env > widest detected) and
 // checkpoint portability across backends.
 #include <gtest/gtest.h>
@@ -225,26 +226,110 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-TEST(SimdBackends, EffectiveBackendIsScalarOffTheSegmentedSoaPath) {
+TEST(SimdBackends, EffectiveBackendIsResolvedOnTheSegmentedPath) {
   const auto geo = make_geometry(Variant::kPlain);
-  // AoS: no unit-stride direction streams, so even the widest request
-  // runs (and reports) scalar.
-  SolverParams aos = make_params(Variant::kPlain, Layout::kAoS,
-                                 Propagation::kAB, Backend::kAuto, 1);
-  Solver<double> aos_solver(shared_mesh(), aos, std::span(geo.inlets));
-  EXPECT_EQ(aos_solver.backend(), Backend::kScalar);
-  // Reference path: same.
-  SolverParams ref = make_params(Variant::kPlain, Layout::kSoA,
+  // Segmented path, either layout: the request is resolved for real (AoS
+  // stages its points through the same tile kernels).
+  for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
+    SolverParams params = make_params(Variant::kPlain, layout,
+                                      Propagation::kAB, Backend::kAuto, 1);
+    Solver<double> solver(shared_mesh(), params, std::span(geo.inlets));
+    EXPECT_EQ(solver.backend(), simd::detected_backends().front())
+        << to_string(layout);
+    EXPECT_EQ(solver.threads(), 1);
+  }
+  // Reference path: the scalar oracle, whatever was requested.
+  SolverParams ref = make_params(Variant::kPlain, Layout::kAoS,
                                  Propagation::kAB, Backend::kAuto, 1);
   ref.kernel.path = KernelPath::kReference;
   Solver<double> ref_solver(shared_mesh(), ref, std::span(geo.inlets));
   EXPECT_EQ(ref_solver.backend(), Backend::kScalar);
-  // Segmented SoA resolves the request for real.
-  SolverParams soa = make_params(Variant::kPlain, Layout::kSoA,
-                                 Propagation::kAB, Backend::kAuto, 1);
-  Solver<double> soa_solver(shared_mesh(), soa, std::span(geo.inlets));
-  EXPECT_EQ(soa_solver.backend(), simd::detected_backends().front());
-  EXPECT_EQ(soa_solver.threads(), 1);
+}
+
+// ---- Short spans against the reference path ------------------------------
+//
+// A small cerebral tree: its bulk spans average about 1.4 points and most
+// of its points are walls, so nearly every staged tile and vector group
+// takes points from several spans or wall rows. Every detected backend,
+// on both layouts and at 1 and 3 threads, must match the scalar reference
+// path bit for bit.
+
+const geometry::Geometry& cerebral_geometry(Variant v) {
+  static const std::map<Variant, geometry::Geometry> geos = [] {
+    std::map<Variant, geometry::Geometry> out;
+    for (const Variant variant :
+         {Variant::kPlain, Variant::kLes, Variant::kPulsatile}) {
+      auto geo = geometry::make_cerebral(
+          {.root_radius = 4.0, .depth = 3, .segment_length = 14.0});
+      if (variant == Variant::kPulsatile) {
+        for (auto& inlet : geo.inlets) {
+          inlet.pulse_amplitude = 0.4;
+          inlet.pulse_period = 10.0;
+        }
+      }
+      out.emplace(variant, std::move(geo));
+    }
+    return out;
+  }();
+  return geos.at(v);
+}
+
+/// The cerebral mesh, plain or periodic along every axis (the body-force
+/// case: wrapped links give spans and walls offsets of their own).
+const FluidMesh& cerebral_mesh(bool periodic) {
+  static const FluidMesh plain =
+      FluidMesh::build(cerebral_geometry(Variant::kPlain).grid);
+  static const FluidMesh wrapped = FluidMesh::build(
+      cerebral_geometry(Variant::kPlain).grid,
+      MeshOptions{.periodic_x = true, .periodic_y = true, .periodic_z = true});
+  return periodic ? wrapped : plain;
+}
+
+template <typename T>
+void expect_cerebral_matches_reference(Variant v, bool periodic,
+                                       Layout layout, Propagation prop) {
+  const auto& geo = cerebral_geometry(v);
+  const auto run = [&](KernelPath path, Backend backend, index_t threads) {
+    SolverParams params = make_params(v, layout, prop, backend, threads);
+    params.kernel.path = path;
+    if (periodic) params.body_force = {2e-5, -1e-5, 3e-5};
+    Solver<T> solver(cerebral_mesh(periodic), params, std::span(geo.inlets));
+    solver.run(5);
+    std::vector<T> odd = solver.export_state();
+    solver.run(4);
+    return std::pair{std::move(odd), solver.export_state()};
+  };
+  const auto ref = run(KernelPath::kReference, Backend::kScalar, 1);
+  for (const Backend b : simd::detected_backends()) {
+    for (const index_t threads : {index_t{1}, index_t{3}}) {
+      const auto got = run(KernelPath::kSegmented, b, threads);
+      const std::string where =
+          std::string(variant_name(v)) + (periodic ? " periodic " : " ") +
+          to_string(prop) + " " + to_string(layout) + " " + to_string(b) +
+          " threads=" + std::to_string(threads) +
+          (sizeof(T) == 4 ? " float" : " double");
+      EXPECT_EQ(count_bit_mismatches(ref.first, got.first), 0u)
+          << where << " diverged at the odd checkpoint";
+      EXPECT_EQ(count_bit_mismatches(ref.second, got.second), 0u)
+          << where << " diverged at the even checkpoint";
+    }
+  }
+}
+
+TEST(SimdBackends, CerebralMatchesReferencePathOnEveryBackend) {
+  for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
+    for (const Propagation prop : {Propagation::kAB, Propagation::kAA}) {
+      for (const Variant v :
+           {Variant::kPlain, Variant::kLes, Variant::kPulsatile}) {
+        expect_cerebral_matches_reference<double>(v, false, layout, prop);
+        expect_cerebral_matches_reference<float>(v, false, layout, prop);
+      }
+      expect_cerebral_matches_reference<double>(Variant::kPlain, true,
+                                                layout, prop);
+      expect_cerebral_matches_reference<float>(Variant::kPlain, true,
+                                               layout, prop);
+    }
+  }
 }
 
 TEST(SimdBackends, CheckpointsArePortableAcrossBackends) {
